@@ -194,7 +194,7 @@ void report_fusion(JsonWriter& j, const char* name, CircuitBuilder& builder) {
 /// fused path is measured against: per sample, every group materializes its
 /// 2l x 2 bundle spectra (build_bundle) and runs a plain external product --
 /// no zero-a skip, no test-vector spectrum reuse -- then extracts and key
-/// switches one sample at a time.
+/// switches (B = 1) one sample at a time.
 void bootstrap_materialized_seq(const SimdFftEngine& eng,
                                 const DeviceBootstrapKey<SimdFftEngine>& bk,
                                 const KeySwitchKey& ks, Torus32 mu,
@@ -204,20 +204,25 @@ void bootstrap_materialized_seq(const SimdFftEngine& eng,
   const int n_ring = eng.ring_n();
   TorusPolynomial testv(n_ring);
   for (auto& c : testv.coeffs) c = mu;
+  TLweSample acc(n_ring);
+  LweSample extracted;
+  KeySwitchWorkspace ks_ws;
   for (size_t s = 0; s < xs.size(); ++s) {
     const LweSample& x = xs[s];
     const int barb = mod_switch_to_2n(x.b, n_ring);
     multiply_by_xpower(ws.testv_rot, testv, 2 * n_ring - barb);
-    ws.acc.a.clear();
-    ws.acc.b = ws.testv_rot;
+    acc.a.clear();
+    acc.b = ws.testv_rot;
     for (int g = 0; g < bk.num_groups(); ++g) {
       group_subset_exponents(x.a.data() + g * bk.unroll_m, bk.members(g),
                              n_ring, ws.exponents);
       if (!build_bundle(eng, bk, g, ws.exponents, ws.bundle)) continue;
-      external_product(eng, bk.gadget, ws.bundle, ws.acc, ws.ep);
+      external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
     }
-    sample_extract_into(ws.acc, ws.extracted);
-    key_switch_into(ks, ws.extracted, outs[s]);
+    sample_extract_into(acc, extracted);
+    const LweSample* in = &extracted;
+    LweSample* out = &outs[s];
+    key_switch_batch(ks, &in, &out, 1, ks_ws);
   }
 }
 
@@ -368,9 +373,9 @@ int main() {
       modes.push_back({"seq", 1,
                        [&] {
                          for (int s = 0; s < kSamples; ++s) {
-                           bootstrap_into(teng, bk, cloud.ks, params.mu(),
-                                          xs[static_cast<size_t>(s)], ws,
-                                          outs[static_cast<size_t>(s)]);
+                           outs[static_cast<size_t>(s)] =
+                               bootstrap(teng, bk, cloud.ks, params.mu(),
+                                         xs[static_cast<size_t>(s)], ws);
                          }
                        },
                        0.0});

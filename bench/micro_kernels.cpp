@@ -3,10 +3,15 @@
 // product, and a whole software gate bootstrap, with the double-precision
 // reference engine alongside. Emits BENCH_micro_kernels.json (JsonWriter)
 // so scripts/bench_trend.py can gate software-bootstrap-latency regressions
-// commit over commit.
+// commit over commit. Every figure comes from a warm-up plus kRounds rounds
+// interleaved across a section's probes: the gated fields (ns_op,
+// ns_per_sample) hold the min, and the *_median fields sit beside them.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,18 +27,57 @@ using bench::JsonWriter;
 
 constexpr int kRingN = 1024; // the paper's N for kernel-level numbers
 
-double time_ns_per_op(const std::function<void()>& fn, int reps) {
-  fn(); // warm caches + page in buffers
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) fn();
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::nano>(dt).count() / reps;
+/// Per-op latency of one probe over kRounds rounds.
+struct Timing {
+  double min_ns = 0;    ///< quietest round: the gated figure
+  double median_ns = 0; ///< typical round: min vs median shows the spread
+};
+
+/// One timed operation; a round is `reps` back-to-back calls of `fn`.
+struct Probe {
+  std::function<void()> fn;
+  int reps;
+};
+
+constexpr int kRounds = 7;
+
+/// Warm every probe once (caches, page-ins, workspaces), then run kRounds
+/// rounds round-robin across all probes: a transient load burst on a shared
+/// host then taxes one round of every probe instead of one probe's whole
+/// measurement window. Returns per-call ns, in probe order.
+std::vector<Timing> time_interleaved(const std::vector<Probe>& probes) {
+  for (const Probe& p : probes) p.fn();
+  std::vector<std::vector<double>> rounds(probes.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < probes[i].reps; ++r) probes[i].fn();
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      rounds[i].push_back(std::chrono::duration<double, std::nano>(dt).count() /
+                          probes[i].reps);
+    }
+  }
+  std::vector<Timing> out;
+  for (auto& r : rounds) {
+    std::sort(r.begin(), r.end());
+    out.push_back({r.front(), r[r.size() / 2]});
+  }
+  return out;
 }
 
 struct Row {
   std::string kernel, path;
-  double ns_op;
+  Timing t;
 };
+
+/// Time `probes` interleaved and append one row per probe.
+void push_rows(const char* path, const std::vector<std::string>& kernels,
+               const std::vector<Probe>& probes, std::vector<Row>& out) {
+  const std::vector<Timing> t = time_interleaved(probes);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    out.push_back({kernels[i], path, t[i]});
+  }
+}
 
 TorusPolynomial random_torus_poly(Rng& rng, int n) {
   TorusPolynomial p(n);
@@ -56,24 +100,17 @@ void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
   const TorusPolynomial tp = random_torus_poly(rng, kRingN);
   const IntPolynomial ip = random_digit_poly(rng, kRingN);
 
+  // fft_inv reads `acc` (one product); the mac probe grows its own `macc`,
+  // so the interleaved rounds never feed fft_inv an ever-growing input.
   typename Engine::Spectral sa, sb;
-  typename Engine::SpectralAcc acc;
+  typename Engine::SpectralAcc acc, macc;
   eng.to_spectral_int(ip, sa);
   eng.to_spectral_torus(tp, sb);
   eng.acc_init(acc);
-  TorusPolynomial back(kRingN);
-
-  out.push_back({"fft_fwd", path,
-                 time_ns_per_op([&] { eng.to_spectral_torus(tp, sb); }, 400)});
+  eng.acc_init(macc);
   eng.mac(acc, sa, sb);
-  out.push_back({"fft_inv", path,
-                 time_ns_per_op([&] { eng.from_spectral_acc(acc, back); }, 400)});
-  out.push_back(
-      {"mac", path, time_ns_per_op([&] { eng.mac(acc, sa, sb); }, 2000)});
+  TorusPolynomial back(kRingN);
   typename Engine::Spectral dst(eng.spectral_size());
-  out.push_back({"rot_scale_add", path, time_ns_per_op([&] {
-                   eng.rot_scale_add(dst, sb, 1234);
-                 }, 2000)});
 
   // External product at the paper parameters (Bg=1024, l=3).
   SecretKeyset sk = [&] {
@@ -92,9 +129,15 @@ void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
   TLweSample ep_acc(kRingN);
   for (auto& c : ep_acc.a.coeffs) c = erng.uniform_torus();
   for (auto& c : ep_acc.b.coeffs) c = erng.uniform_torus();
-  out.push_back({"external_product", path, time_ns_per_op([&] {
-                   external_product(eng, params.gadget, tgsw, ep_acc, ws);
-                 }, 200)});
+  push_rows(path, {"fft_fwd", "fft_inv", "mac", "rot_scale_add",
+                   "external_product"},
+            {{[&] { eng.to_spectral_torus(tp, sb); }, 400},
+             {[&] { eng.from_spectral_acc(acc, back); }, 400},
+             {[&] { eng.mac(macc, sa, sb); }, 2000},
+             {[&] { eng.rot_scale_add(dst, sb, 1234); }, 2000},
+             {[&] { external_product(eng, params.gadget, tgsw, ep_acc, ws); },
+              200}},
+            out);
 }
 
 /// One whole bundle-mode blind-rotate group step at the paper parameters
@@ -133,17 +176,20 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
   for (auto& c : acc.a.coeffs) c = erng.uniform_torus();
   for (auto& c : acc.b.coeffs) c = erng.uniform_torus();
 
-  out.push_back({"bundle_ep_materialized", path, time_ns_per_op([&] {
-                   (void)build_bundle(eng, bk, 0, exponents, ws.bundle);
-                   external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
-                 }, 200)});
   BlindRotateState st;
-  st.pristine = false;
-  out.push_back({"bundle_ep_fused", path, time_ns_per_op([&] {
-                   st.pristine = false;
-                   bundle_rotate_step(eng, bk, 0, exponents, acc, ws.bundle,
-                                      ws.ep, st, nullptr);
-                 }, 200)});
+  push_rows(path, {"bundle_ep_materialized", "bundle_ep_fused"},
+            {{[&] {
+                (void)build_bundle(eng, bk, 0, exponents, ws.bundle);
+                external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
+              },
+              200},
+             {[&] {
+                st.pristine = false;
+                bundle_rotate_step(eng, bk, 0, exponents, acc, ws.bundle,
+                                   ws.ep, st, nullptr);
+              },
+              200}},
+            out);
 }
 
 // ---- keyswitch rows --------------------------------------------------------
@@ -195,19 +241,18 @@ struct SeedAosKeySwitch {
 
 struct KsRow {
   std::string path, mode;
-  double ns_per_sample;
-  double eff_gb_s; ///< key_bytes / time-per-sample: delivered accumulate BW
+  int batch;
+  double ns_per_sample = 0;
+  double ns_per_sample_median = 0;
+  double eff_gb_s = 0; ///< key_bytes / min time-per-sample: accumulate BW
 };
 
 /// Keyswitch latency rows at test_small: the seed AoS baseline, the SoA
-/// per-sample path (scalar + active SIMD), and the batch-amortized path that
-/// streams the key once per batch.
+/// per-sample path (key_switch_batch at B = 1; scalar + active SIMD), and
+/// the batch-amortized path that streams the key once per batch.
 void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
                     std::vector<KsRow>& out) {
   const KeySwitchKey& ks = ck.ks;
-  const double key_bytes = static_cast<double>(ks.key_bytes());
-  const auto eff = [&](double ns) { return key_bytes / ns; }; // bytes/ns = GB/s
-
   Rng srng(0x4B53);
   constexpr int kPool = 32;
   std::vector<LweSample> in(kPool, LweSample(ks.n_in));
@@ -216,59 +261,85 @@ void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
     c.b = srng.uniform_torus();
   }
 
-  { // seed baseline
-    const SeedAosKeySwitch seed(ks);
-    int idx = 0;
-    const double ns = time_ns_per_op(
-        [&] { (void)seed.eval(in[static_cast<size_t>(idx++ % kPool)]); }, 400);
-    out.push_back({"seed_aos", "per_sample", ns, eff(ns)});
-  }
+  std::vector<KsRow> rows;
+  std::vector<Probe> probes;
+  const SeedAosKeySwitch seed(ks);
+  int seed_idx = 0;
+  rows.push_back({"seed_aos", "per_sample", 1});
+  probes.push_back(
+      {[&] { (void)seed.eval(in[static_cast<size_t>(seed_idx++ % kPool)]); },
+       400});
 
-  const auto per_sample = [&](SimdLevel level, const char* path) {
-    LweSample o(ks.n_out);
-    int idx = 0;
-    const double ns = time_ns_per_op(
-        [&] { key_switch_into(ks, in[static_cast<size_t>(idx++ % kPool)], o,
-                              level); },
-        400);
-    out.push_back({path, "per_sample", ns, eff(ns)});
-  };
-  const auto batched = [&](SimdLevel level, const char* path, int batch) {
-    std::vector<LweSample> o(static_cast<size_t>(batch), LweSample(ks.n_out));
+  // One lane per (level, batch) probe: its output slots, pointer tables and
+  // digit workspace. A deque keeps the lanes the probes capture in place.
+  struct Lane {
+    std::vector<LweSample> o;
     std::vector<const LweSample*> inp;
     std::vector<LweSample*> outp;
-    for (int k = 0; k < batch; ++k) {
-      inp.push_back(&in[static_cast<size_t>(k % kPool)]);
-      outp.push_back(&o[static_cast<size_t>(k)]);
-    }
     KeySwitchWorkspace ws;
-    const double ns = time_ns_per_op(
-        [&] { key_switch_batch(ks, inp.data(), outp.data(), batch, ws, level); },
-        200) / batch;
-    out.push_back({path, "batch" + std::to_string(batch), ns, eff(ns)});
+    int next = 0; ///< B = 1 cycles through the input pool
   };
-
-  per_sample(SimdLevel::kScalar, "scalar");
-  batched(SimdLevel::kScalar, "scalar", 8);
-  batched(SimdLevel::kScalar, "scalar", 32);
+  std::deque<Lane> lanes;
+  const auto add = [&](SimdLevel level, const char* path, int batch) {
+    Lane& l = lanes.emplace_back();
+    l.o.assign(static_cast<size_t>(batch), LweSample(ks.n_out));
+    for (int k = 0; k < batch; ++k) {
+      l.inp.push_back(&in[static_cast<size_t>(k % kPool)]);
+      l.outp.push_back(&l.o[static_cast<size_t>(k)]);
+    }
+    rows.push_back({path,
+                    batch == 1 ? "per_sample" : "batch" + std::to_string(batch),
+                    batch});
+    probes.push_back({[&ks, &in, &l, level, batch] {
+                        if (batch == 1) {
+                          const size_t k = static_cast<size_t>(l.next++);
+                          l.inp[0] = &in[k % in.size()];
+                        }
+                        key_switch_batch(ks, l.inp.data(), l.outp.data(), batch,
+                                         l.ws, level);
+                      },
+                      batch == 1 ? 400 : 200});
+  };
+  std::vector<std::pair<SimdLevel, const char*>> levels{
+      {SimdLevel::kScalar, "scalar"}};
   if (std::string(active_name) != "scalar") {
-    const SimdLevel active = active_simd_level();
-    per_sample(active, active_name);
-    batched(active, active_name, 8);
-    batched(active, active_name, 32);
+    levels.emplace_back(active_simd_level(), active_name);
+  }
+  for (const auto& [level, path] : levels) {
+    for (const int batch : {1, 8, 32}) add(level, path, batch);
+  }
+
+  const std::vector<Timing> t = time_interleaved(probes);
+  const double key_bytes = static_cast<double>(ks.key_bytes());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    KsRow& r = rows[i];
+    r.ns_per_sample = t[i].min_ns / r.batch;
+    r.ns_per_sample_median = t[i].median_ns / r.batch;
+    r.eff_gb_s = key_bytes / r.ns_per_sample; // bytes/ns = GB/s
+    out.push_back(r);
   }
 }
 
-/// One full software gate bootstrap (test_small, m=2 bundle mode) ns/op.
+/// One engine's whole software gate bootstrap (test_small, m=2 bundle mode)
+/// through the by-value B = 1 wrapper.
 template <class Engine>
-double bootstrap_ns(Engine& eng, const SecretKeyset& sk, const CloudKeyset& ck) {
-  const auto dk = load_device_keyset(eng, ck);
-  BootstrapWorkspace<Engine> ws(eng, dk.bk.gadget);
-  Rng rng(31);
-  const LweSample x = sk.encrypt_bit(1, rng);
-  return time_ns_per_op(
-      [&] { (void)bootstrap(eng, dk.bk, *dk.ks, sk.params.mu(), x, ws); }, 20);
-}
+struct BootstrapCase {
+  const Engine& eng;
+  DeviceKeyset<Engine> dk;
+  BootstrapWorkspace<Engine> ws;
+  Torus32 mu;
+  LweSample x;
+
+  BootstrapCase(const Engine& e, const SecretKeyset& sk, const CloudKeyset& ck)
+      : eng(e), dk(load_device_keyset(e, ck)), ws(e, dk.bk.gadget),
+        mu(sk.params.mu()) {
+    Rng rng(31);
+    x = sk.encrypt_bit(1, rng);
+  }
+  Probe probe() {
+    return {[this] { (void)bootstrap(eng, dk.bk, *dk.ks, mu, x, ws); }, 20};
+  }
+};
 
 } // namespace
 
@@ -298,9 +369,11 @@ int main() {
     kernel_rows(ref_eng, "reference_double", rows);
   }
 
-  std::printf("%-24s%-18s%14s\n", "kernel", "path", "ns/op");
+  std::printf("min and median of %d interleaved rounds\n", kRounds);
+  std::printf("%-24s%-18s%14s%14s\n", "kernel", "path", "ns/op", "median");
   for (const Row& r : rows) {
-    std::printf("%-24s%-18s%14.0f\n", r.kernel.c_str(), r.path.c_str(), r.ns_op);
+    std::printf("%-24s%-18s%14.0f%14.0f\n", r.kernel.c_str(), r.path.c_str(),
+                r.t.min_ns, r.t.median_ns);
   }
 
   Rng krng(20240601);
@@ -314,10 +387,12 @@ int main() {
   keyswitch_rows(ck, active_name, ks_rows);
   std::printf("\nkeyswitch (test_small, key %.1f MB):\n",
               static_cast<double>(ck.ks.key_bytes()) / (1024.0 * 1024.0));
-  std::printf("%-18s%-14s%16s%12s\n", "path", "mode", "ns/sample", "GB/s");
+  std::printf("%-18s%-14s%16s%14s%12s\n", "path", "mode", "ns/sample",
+              "median", "GB/s");
   for (const KsRow& r : ks_rows) {
-    std::printf("%-18s%-14s%16.0f%12.2f\n", r.path.c_str(), r.mode.c_str(),
-                r.ns_per_sample, r.eff_gb_s);
+    std::printf("%-18s%-14s%16.0f%14.0f%12.2f\n", r.path.c_str(),
+                r.mode.c_str(), r.ns_per_sample, r.ns_per_sample_median,
+                r.eff_gb_s);
   }
 
   // Whole-gate bootstraps at the unit-test parameters (m = 2 bundle mode),
@@ -325,24 +400,32 @@ int main() {
   std::printf("\nbootstrap (test_small, m=2):\n");
   struct BootRow {
     std::string path;
-    double ns_op;
+    Timing t;
   };
   std::vector<BootRow> boots;
   {
-    SimdFftEngine eng(small.ring.n_ring, SimdLevel::kScalar);
-    boots.push_back({"scalar", bootstrap_ns(eng, sk, ck)});
-  }
-  if (std::string(active_name) != "scalar") {
-    SimdFftEngine eng(small.ring.n_ring, active);
-    boots.push_back({eng.level_name(), bootstrap_ns(eng, sk, ck)});
-  }
-  {
-    DoubleFftEngine eng(small.ring.n_ring);
-    boots.push_back({"reference_double", bootstrap_ns(eng, sk, ck)});
+    const SimdFftEngine scalar_eng(small.ring.n_ring, SimdLevel::kScalar);
+    const SimdFftEngine simd_eng(small.ring.n_ring, active);
+    const DoubleFftEngine ref_eng(small.ring.n_ring);
+    BootstrapCase<SimdFftEngine> scalar_case(scalar_eng, sk, ck);
+    std::optional<BootstrapCase<SimdFftEngine>> simd_case;
+    BootstrapCase<DoubleFftEngine> ref_case(ref_eng, sk, ck);
+    std::vector<std::string> paths{"scalar"};
+    std::vector<Probe> probes{scalar_case.probe()};
+    if (std::string(active_name) != "scalar") {
+      simd_case.emplace(simd_eng, sk, ck);
+      paths.push_back(simd_eng.level_name());
+      probes.push_back(simd_case->probe());
+    }
+    paths.push_back("reference_double");
+    probes.push_back(ref_case.probe());
+    const std::vector<Timing> t = time_interleaved(probes);
+    for (size_t i = 0; i < t.size(); ++i) boots.push_back({paths[i], t[i]});
   }
   for (const BootRow& b : boots) {
-    std::printf("%-18s%14.0f ns/op  (%.2f ms)\n", b.path.c_str(), b.ns_op,
-                b.ns_op * 1e-6);
+    std::printf("%-18s%14.0f ns/op  (%.2f ms, median %.2f ms)\n",
+                b.path.c_str(), b.t.min_ns, b.t.min_ns * 1e-6,
+                b.t.median_ns * 1e-6);
   }
 
   std::FILE* jf = std::fopen("BENCH_micro_kernels.json", "w");
@@ -362,7 +445,8 @@ int main() {
     j.begin_object();
     j.field("kernel", r.kernel.c_str());
     j.field("path", r.path.c_str());
-    j.field("ns_op", r.ns_op);
+    j.field("ns_op", r.t.min_ns);
+    j.field("ns_op_median", r.t.median_ns);
     j.end_object();
   }
   j.end_array();
@@ -374,6 +458,7 @@ int main() {
     j.field("mode", r.mode.c_str());
     j.field("params", "test_small");
     j.field("ns_per_sample", r.ns_per_sample);
+    j.field("ns_per_sample_median", r.ns_per_sample_median);
     j.field("eff_gb_s", r.eff_gb_s);
     j.end_object();
   }
@@ -385,7 +470,8 @@ int main() {
     j.field("path", b.path.c_str());
     j.field("params", "test_small");
     j.field("unroll_m", 2);
-    j.field("ns_op", b.ns_op);
+    j.field("ns_op", b.t.min_ns);
+    j.field("ns_op_median", b.t.median_ns);
     j.end_object();
   }
   j.end_array();

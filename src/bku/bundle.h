@@ -22,8 +22,8 @@
 
 namespace matcha {
 
-/// Per-sample blind-rotation progress, shared by the sequential and batched
-/// drivers (tfhe/bootstrap.h). `pristine` stays true until the first
+/// Per-sample blind-rotation progress, one per sample of blind_rotate_batch
+/// (tfhe/bootstrap.h). `pristine` stays true until the first
 /// external product actually executes, i.e. while ACC is still exactly the
 /// trivial (0, testv * X^{-barb}); that is what licenses the first-group
 /// fast paths (zero a-digit spectra, cached test-vector spectra).
@@ -104,13 +104,14 @@ bool build_bundle(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
 
 /// One bundle-mode blind-rotation group step: ACC <- BKB_g (x) ACC, skipping
 /// the step entirely when every subset exponent is zero (BKB would be the
-/// identity H). This is THE per-sample step -- the sequential and batched
-/// blind rotations both call it, which is what makes them bit-identical at
-/// any batch size and interleaving. Generic engines materialize the bundle
-/// (build_bundle + external_product, with the pristine zero-a skip); the
-/// SimdFftEngine overload below fuses the subset rotations into the
-/// external-product MAC and never materializes the bundle. `tc` may be null;
-/// when set it must describe ACC's initial constant test vector.
+/// identity H). This is THE per-sample step -- the batched blind rotation
+/// calls it once per (group, sample), which is what makes each sample's
+/// result bit-identical at any batch size and interleaving. Generic engines
+/// materialize the bundle (build_bundle + external_product, with the
+/// pristine zero-a skip); the SimdFftEngine overload below fuses the subset
+/// rotations into the external-product MAC and never materializes the
+/// bundle. `tc` may be null; when set it must describe ACC's initial
+/// constant test vector.
 template <class Engine>
 void bundle_rotate_step(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
                         int g, const std::vector<int32_t>& exponents,

@@ -10,11 +10,11 @@
 //
 // Keyswitch batching: a task evaluates one gate for a *group* of batch items
 // (up to kKsGroupTarget when the batch is deep enough to keep every worker
-// fed). The gate lowering is split into bootstrap-without-keyswitch per item
-// followed by ONE key_switch_batch flush for the group, so the keyswitch key
-// -- the largest read-only operand -- streams from memory once per group
-// instead of once per item (tfhe/keyswitch.h). Group size trades key-traffic
-// amortization against task-level parallelism, so it shrinks to
+// fed). The gate lowering is one group-major blind-rotation flush over the
+// group's items (tfhe/bootstrap.h) followed by ONE key_switch_batch flush,
+// so both keys -- the largest read-only operands -- stream from memory once
+// per group instead of once per item (tfhe/keyswitch.h). Group size trades
+// key-traffic amortization against task-level parallelism, so it shrinks to
 // items / num_threads when the batch is narrow; correctness never depends on
 // it (exact mod-2^32 arithmetic makes grouped and per-item keyswitch
 // bit-identical).
@@ -28,8 +28,9 @@
 // (digit/spectral arenas, accumulators, FFT scratch) lives in the worker's
 // private engine or workspace. A gate's
 // output depends only on its input ciphertexts and bootstrapping is
-// deterministic, so results are bit-identical to sequential execution
-// regardless of thread count, steal pattern, or batch grouping.
+// deterministic, so results are bit-identical to single-thread execution
+// (and to GateEvaluator's immediate mode) regardless of thread count, steal
+// pattern, or batch grouping.
 //
 // Counters: each worker engine accumulates its EngineCounters privately
 // during a run; the executor merges them into one aggregate on batch
@@ -402,9 +403,9 @@ class BatchExecutor {
     int64_t busy_ns = 0; ///< time inside gate kernels during the last run
     // Bootstrap-batching scratch: the group's linear-combination inputs and
     // the pointer tables one group-major blind-rotation flush consumes
-    // (combo/mux2 sized 2x for MUX's two branch bootstraps), plus the
-    // pre-keyswitch N-LWE staging and the digit workspace of the batched
-    // keyswitch flush. All grow-only, reused across tasks.
+    // (combo sized 2x for MUX's two branch bootstraps, mux2 holding u2),
+    // plus the pre-keyswitch N-LWE staging and the digit workspace of the
+    // batched keyswitch flush. All grow-only, reused across tasks.
     std::vector<LweSample> combo;
     std::vector<LweSample> mux2;
     std::vector<const LweSample*> bs_in;
@@ -516,9 +517,10 @@ class BatchExecutor {
   /// combination, run ONE group-major blind-rotation flush (the spectral
   /// bootstrapping key streams from DRAM once per group of items instead of
   /// once per item; MUX flushes its 2x branch bootstraps in the same pass),
-  /// then one batched keyswitch flush into the items' result slots. Per-item
-  /// math is unchanged, so the result is bit-identical to the sequential
-  /// lowering -- whatever subset of the group is live.
+  /// then one batched keyswitch flush into the items' result slots. A
+  /// sample's result does not depend on what it is batched with, so it is
+  /// bit-identical to GateEvaluator's immediate mode -- whatever subset of
+  /// the group is live.
   template <class FailFn>
   void eval_gate_group(Worker& w, const GateGraph& g, int id, int b0, int b1,
                        std::vector<BatchResult>& results,
@@ -595,21 +597,16 @@ class BatchExecutor {
     switch (n.kind) {
       case GateKind::kMux: {
         // Both branch bootstraps of every item ride one flush: slots
-        // [0, count) hold u1 = BS(-mu + sel + c1) into stage, slots
-        // [count, 2*count) hold u2 = BS(-mu - sel + c0) into mux2; the
-        // bootstrap-free combine stage[k] + mux2[k] + (0, mu) follows.
+        // [0, count) hold u1 into stage, slots [count, 2*count) hold u2
+        // into mux2 (tfhe/gate_ops.h); the bootstrap-free combine follows.
         if (w.mux2.size() < static_cast<size_t>(count)) {
           w.mux2.resize(static_cast<size_t>(count));
         }
-        const LweSample neg =
-            LweSample::trivial(bk_.n_lwe, static_cast<Torus32>(-mu_));
         for (int k = 0; k < count; ++k) {
           const auto& v = results[static_cast<size_t>(w.live[k])].values;
-          const LweSample& sel = v[n.in[0]];
-          w.combo[static_cast<size_t>(k)] = neg + sel + v[n.in[1]];
-          LweSample nsel = sel;
-          nsel.negate();
-          w.combo[static_cast<size_t>(count + k)] = neg + nsel + v[n.in[2]];
+          mux_branch_inputs(v[n.in[0]], v[n.in[1]], v[n.in[2]], mu_,
+                            w.combo[static_cast<size_t>(k)],
+                            w.combo[static_cast<size_t>(count + k)]);
           w.bs_out[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
           w.bs_out[static_cast<size_t>(count + k)] =
               &w.mux2[static_cast<size_t>(k)];
@@ -620,8 +617,8 @@ class BatchExecutor {
                                      w.bs_out.data(), static_cast<int>(nflush),
                                      w.ws, mode_);
         for (int k = 0; k < count; ++k) {
-          w.stage[static_cast<size_t>(k)] += w.mux2[static_cast<size_t>(k)];
-          w.stage[static_cast<size_t>(k)].b += mu_;
+          mux_combine(w.stage[static_cast<size_t>(k)],
+                      w.mux2[static_cast<size_t>(k)], mu_);
         }
         break;
       }
@@ -645,20 +642,10 @@ class BatchExecutor {
           w.bs_in[static_cast<size_t>(k)] = &w.combo[static_cast<size_t>(k)];
         }
         const TorusPolynomial& tv = *node_testv_[static_cast<size_t>(id)];
-        if (n.lut.n_out == 1) {
-          for (int k = 0; k < count; ++k) {
-            w.bs_out[static_cast<size_t>(k)] =
-                &w.stage[static_cast<size_t>(k)];
-          }
-          check_bsk_stream();
-          functional_bootstrap_wo_keyswitch_batch(eng, bk_, tv, w.bs_in.data(),
-                                                  w.bs_out.data(), count, w.ws,
-                                                  mode_);
-          break;
-        }
-        // Live outputs: the primary (this wire) plus every kLutOut child the
-        // compiled graph kept. The extraction offset of output j is
-        // slot_shift * (ring N / slots): one test-vector band per slot.
+        // Live outputs: the primary (this wire, offset 0) plus every kLutOut
+        // child the compiled graph kept -- a single-output LUT is n_live = 1.
+        // The extraction offset of output j is slot_shift * (ring N /
+        // slots): one test-vector band per slot.
         const auto& out_wires = lut_out_wires_[static_cast<size_t>(id)];
         const int band = w.engine->ring_n() / n.lut.slots();
         std::array<int, kLutMaxOutputs> offsets{};

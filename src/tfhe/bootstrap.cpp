@@ -10,24 +10,6 @@ template struct BootstrapWorkspace<DoubleFftEngine>;
 template struct BootstrapWorkspace<LiftFftEngine>;
 template struct BootstrapWorkspace<SimdFftEngine>;
 
-template void blind_rotate<DoubleFftEngine>(const DoubleFftEngine&,
-                                            const DeviceBootstrapKey<DoubleFftEngine>&,
-                                            const LweSample&, const TorusPolynomial&,
-                                            BootstrapWorkspace<DoubleFftEngine>&,
-                                            BlindRotateMode);
-template void blind_rotate<LiftFftEngine>(const LiftFftEngine&,
-                                          const DeviceBootstrapKey<LiftFftEngine>&,
-                                          const LweSample&, const TorusPolynomial&,
-                                          BootstrapWorkspace<LiftFftEngine>&,
-                                          BlindRotateMode);
-
-template LweSample bootstrap_wo_keyswitch<DoubleFftEngine>(
-    const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&, Torus32,
-    const LweSample&, BootstrapWorkspace<DoubleFftEngine>&, BlindRotateMode);
-template LweSample bootstrap_wo_keyswitch<LiftFftEngine>(
-    const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&, Torus32,
-    const LweSample&, BootstrapWorkspace<LiftFftEngine>&, BlindRotateMode);
-
 template LweSample bootstrap<DoubleFftEngine>(const DoubleFftEngine&,
                                               const DeviceBootstrapKey<DoubleFftEngine>&,
                                               const KeySwitchKey&, Torus32,
@@ -40,12 +22,12 @@ template LweSample bootstrap<LiftFftEngine>(const LiftFftEngine&,
                                             const LweSample&,
                                             BootstrapWorkspace<LiftFftEngine>&,
                                             BlindRotateMode);
-
-template void blind_rotate<SimdFftEngine>(const SimdFftEngine&,
-                                          const DeviceBootstrapKey<SimdFftEngine>&,
-                                          const LweSample&, const TorusPolynomial&,
-                                          BootstrapWorkspace<SimdFftEngine>&,
-                                          BlindRotateMode);
+template LweSample bootstrap<SimdFftEngine>(const SimdFftEngine&,
+                                            const DeviceBootstrapKey<SimdFftEngine>&,
+                                            const KeySwitchKey&, Torus32,
+                                            const LweSample&,
+                                            BootstrapWorkspace<SimdFftEngine>&,
+                                            BlindRotateMode);
 
 template void blind_rotate_batch<DoubleFftEngine>(
     const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
@@ -88,14 +70,5 @@ template void bootstrap_batch<SimdFftEngine>(
     const KeySwitchKey&, Torus32, const LweSample* const*, LweSample* const*,
     int, BootstrapWorkspace<SimdFftEngine>&, KeySwitchWorkspace&,
     BlindRotateMode);
-template LweSample bootstrap_wo_keyswitch<SimdFftEngine>(
-    const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&, Torus32,
-    const LweSample&, BootstrapWorkspace<SimdFftEngine>&, BlindRotateMode);
-template LweSample bootstrap<SimdFftEngine>(const SimdFftEngine&,
-                                            const DeviceBootstrapKey<SimdFftEngine>&,
-                                            const KeySwitchKey&, Torus32,
-                                            const LweSample&,
-                                            BootstrapWorkspace<SimdFftEngine>&,
-                                            BlindRotateMode);
 
 } // namespace matcha

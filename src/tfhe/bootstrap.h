@@ -4,6 +4,10 @@
 // BlindRotateMode::kBundle it builds the spectral bootstrapping-key bundle
 // per group (MATCHA's datapath, any m >= 1), with kClassicCMux it runs the
 // TFHE library's CMux chain (m == 1 only; the Fig. 1 CPU baseline).
+//
+// There is one blind rotation, blind_rotate_batch (group-major over B
+// samples); a single-sample bootstrap is a B = 1 call of it, and the key
+// switch is likewise always key_switch_batch.
 #pragma once
 
 #include "bku/bundle.h"
@@ -22,12 +26,9 @@ template <class Engine>
 struct BootstrapWorkspace {
   ExternalProductWorkspace<Engine> ep;
   TGswSpectral<Engine> bundle;
-  TLweSample acc;
   TLweSample tmp;
   TorusPolynomial testv, testv_rot;
   std::vector<int32_t> exponents;
-  LweSample extracted; ///< N-LWE scratch between sample extract and keyswitch
-  LweSample extracted2; ///< second N-LWE scratch (MUX's second branch)
 
   // Gate test-vector caching. `testv` is workspace-owned: the gate bootstrap
   // fills it with the amplitude mu only when mu changed since the last fill
@@ -52,7 +53,6 @@ struct BootstrapWorkspace {
   BootstrapWorkspace(const Engine& eng, const GadgetParams& g)
       : ep(eng, g),
         bundle(make_bundle_storage(eng, g)),
-        acc(eng.ring_n()),
         tmp(eng.ring_n()),
         testv(eng.ring_n()),
         testv_rot(eng.ring_n()) {}
@@ -94,7 +94,7 @@ void blind_rotate_init(const Engine& eng, const LweSample& x,
 }
 
 /// One classic-CMux step: tmp = (X^{barai} - 1) * ACC; ACC += BK_i (x) tmp.
-/// Shared by the sequential and batched drivers (callers skip barai == 0).
+/// The caller skips barai == 0.
 template <class Engine>
 void classic_rotate_step(const Engine& eng,
                          const DeviceBootstrapKey<Engine>& key, int i,
@@ -122,46 +122,17 @@ GateTestvSpectra* gate_testv_cache(BootstrapWorkspace<Engine>& ws,
   return usable ? &ws.testv_spec : nullptr;
 }
 
-/// ACC <- X^{-b + sum a_i s_i} * (0, testv), evaluated homomorphically.
-template <class Engine>
-void blind_rotate(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                  const LweSample& x, const TorusPolynomial& testv,
-                  BootstrapWorkspace<Engine>& ws,
-                  BlindRotateMode mode = BlindRotateMode::kBundle) {
-  const int n_ring = eng.ring_n();
-  BlindRotateState st;
-  blind_rotate_init(eng, x, testv, ws.testv_rot, ws.acc, st);
-
-  if (mode == BlindRotateMode::kClassicCMux) {
-    // The TFHE library's loop; identical math to a 1-wide bundle but keeps
-    // the identity path exact (no decomposition error when a_i == 0).
-    for (int i = 0; i < key.n_lwe; ++i) {
-      const int barai = mod_switch_to_2n(x.a[i], n_ring);
-      if (barai == 0) continue;
-      classic_rotate_step(eng, key, i, barai, ws.acc, ws, st);
-    }
-    return;
-  }
-
-  GateTestvSpectra* tc = gate_testv_cache(ws, testv);
-  for (int g = 0; g < key.num_groups(); ++g) {
-    const int mg = key.members(g);
-    group_subset_exponents(x.a.data() + g * key.unroll_m, mg, n_ring,
-                           ws.exponents);
-    bundle_rotate_step(eng, key, g, ws.exponents, ws.acc, ws.bundle, ws.ep,
-                       st, tc);
-  }
-}
-
-/// Batched blind rotation, group-major: the outer loop walks the n/m key
-/// groups, the inner loop walks samples, so each group's spectral TGSW
-/// members stream from DRAM once per batch and stay cache-hot for all B
-/// bundle steps -- the key_switch_batch amortization applied to the
-/// bootstrapping key. Per-sample accumulators land in ws.batch_acc[0..B).
+/// Blind rotation, ACC_b <- X^{-b + sum a_i s_i} * (0, testv) for each of
+/// the B samples -- the only blind rotation; a single sample is B = 1.
+/// Group-major: the outer loop walks the n/m key groups, the inner loop
+/// walks samples, so each group's spectral TGSW members stream from DRAM
+/// once per batch and stay cache-hot for all B bundle steps -- the
+/// key_switch_batch amortization applied to the bootstrapping key.
+/// Per-sample accumulators land in ws.batch_acc[0..B).
 /// Bit-identity contract: sample b runs exactly the same step sequence
 /// (blind_rotate_init + per-group/per-index steps on the same workspace
-/// scratch, which every step fully overwrites) as the sequential
-/// blind_rotate, so results are bit-identical at every batch size.
+/// scratch, which every step fully overwrites) whatever it is batched with,
+/// so its result is bit-identical to a B = 1 call at every batch size.
 template <class Engine>
 void blind_rotate_batch(const Engine& eng,
                         const DeviceBootstrapKey<Engine>& key,
@@ -204,21 +175,6 @@ void blind_rotate_batch(const Engine& eng,
   }
 }
 
-/// Bootstrap without the final key switch, in place: `out` receives an N-LWE
-/// sample under the extracted ring key whose phase is +-mu depending on
-/// sign(phase(x)). out may alias x. Allocation-free once out and the
-/// workspace are at capacity.
-template <class Engine>
-void bootstrap_wo_keyswitch_into(const Engine& eng,
-                                 const DeviceBootstrapKey<Engine>& key,
-                                 Torus32 mu, const LweSample& x,
-                                 BootstrapWorkspace<Engine>& ws, LweSample& out,
-                                 BlindRotateMode mode = BlindRotateMode::kBundle) {
-  set_gate_testv(ws, mu, key.gadget);
-  blind_rotate(eng, key, x, ws.testv, ws, mode);
-  sample_extract_into(ws.acc, out);
-}
-
 /// Batched gate bootstrap without the key switch: group-major blind rotation
 /// of all B samples, then B sample extractions. outs[b] may alias xs[b]
 /// (extraction happens after every rotation has consumed its input).
@@ -236,44 +192,10 @@ void bootstrap_wo_keyswitch_batch(const Engine& eng,
   }
 }
 
-/// By-value convenience wrapper around bootstrap_wo_keyswitch_into.
-template <class Engine>
-LweSample bootstrap_wo_keyswitch(const Engine& eng,
-                                 const DeviceBootstrapKey<Engine>& key,
-                                 Torus32 mu, const LweSample& x,
-                                 BootstrapWorkspace<Engine>& ws,
-                                 BlindRotateMode mode = BlindRotateMode::kBundle) {
-  LweSample out;
-  bootstrap_wo_keyswitch_into(eng, key, mu, x, ws, out, mode);
-  return out;
-}
-
-/// Full gate bootstrap in place: blind rotate, extract (into the workspace
-/// scratch), key switch back to n-LWE in `out`. out may alias x.
-template <class Engine>
-void bootstrap_into(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                    const KeySwitchKey& ks, Torus32 mu, const LweSample& x,
-                    BootstrapWorkspace<Engine>& ws, LweSample& out,
-                    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  bootstrap_wo_keyswitch_into(eng, key, mu, x, ws, ws.extracted, mode);
-  key_switch_into(ks, ws.extracted, out);
-}
-
-/// Full gate bootstrap: blind rotate, extract, key switch back to n-LWE.
-template <class Engine>
-LweSample bootstrap(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                    const KeySwitchKey& ks, Torus32 mu, const LweSample& x,
-                    BootstrapWorkspace<Engine>& ws,
-                    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  LweSample out;
-  bootstrap_into(eng, key, ks, mu, x, ws, out, mode);
-  return out;
-}
-
 /// Batched full gate bootstrap: group-major blind rotation of all B samples,
 /// B sample extractions into the workspace arena, then ONE batched key
 /// switch (the keyswitch key streams once for the whole batch). outs[b] may
-/// alias xs[b]. Bit-identical to B sequential bootstrap_into calls.
+/// alias xs[b]. Bit-identical to B calls at batch size 1.
 template <class Engine>
 void bootstrap_batch(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
                      const KeySwitchKey& ks, Torus32 mu,
@@ -295,6 +217,22 @@ void bootstrap_batch(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
   }
   key_switch_batch(ks, ws.batch_ks_in.data(), ws.batch_ks_out.data(), batch,
                    ks_ws);
+}
+
+/// Full gate bootstrap of one sample, by value: blind rotate, extract, key
+/// switch back to n-LWE. A B = 1 call of bootstrap_batch for examples and
+/// tests; hot loops call bootstrap_batch with a reused KeySwitchWorkspace.
+template <class Engine>
+LweSample bootstrap(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
+                    const KeySwitchKey& ks, Torus32 mu, const LweSample& x,
+                    BootstrapWorkspace<Engine>& ws,
+                    BlindRotateMode mode = BlindRotateMode::kBundle) {
+  KeySwitchWorkspace ks_ws;
+  LweSample out;
+  const LweSample* in = &x;
+  LweSample* outp = &out;
+  bootstrap_batch(eng, key, ks, mu, &in, &outp, 1, ws, ks_ws, mode);
+  return out;
 }
 
 } // namespace matcha

@@ -91,55 +91,13 @@ inline DecodeAudit decode_bit_audited(
 /// result chainable).
 TorusPolynomial make_lut_testvector(int n_ring, std::span<const Torus32> values);
 
-/// Bootstrap x through the LUT, in place: `out` receives LWE(f(m)) with
-/// fresh noise, under the gate key (key switch included). out may alias x.
-template <class Engine>
-void functional_bootstrap_into(const Engine& eng,
-                               const DeviceBootstrapKey<Engine>& key,
-                               const KeySwitchKey& ks,
-                               const TorusPolynomial& testv, const LweSample& x,
-                               BootstrapWorkspace<Engine>& ws, LweSample& out,
-                               BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate(eng, key, x, testv, ws, mode);
-  sample_extract_into(ws.acc, ws.extracted);
-  key_switch_into(ks, ws.extracted, out);
-}
-
-/// Like functional_bootstrap_into but stopping before the key switch: `out`
-/// receives the N-LWE sample under the extracted ring key (the batch
-/// executor defers the key switch to a batched flush).
-template <class Engine>
-void functional_bootstrap_wo_keyswitch_into(
-    const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-    const TorusPolynomial& testv, const LweSample& x,
-    BootstrapWorkspace<Engine>& ws, LweSample& out,
-    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate(eng, key, x, testv, ws, mode);
-  sample_extract_into(ws.acc, out);
-}
-
 /// Batched functional bootstrap without the key switch: one group-major
-/// blind rotation over all B samples against a shared test vector, then B
-/// sample extractions. Bit-identical to B sequential
-/// functional_bootstrap_wo_keyswitch_into calls; outs[b] may alias xs[b].
-template <class Engine>
-void functional_bootstrap_wo_keyswitch_batch(
-    const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-    const TorusPolynomial& testv, const LweSample* const* xs,
-    LweSample* const* outs, int batch, BootstrapWorkspace<Engine>& ws,
-    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate_batch(eng, key, xs, batch, testv, ws, mode);
-  for (int b = 0; b < batch; ++b) {
-    sample_extract_into(ws.batch_acc[static_cast<size_t>(b)], *outs[b]);
-  }
-}
-
-/// Multi-output batched functional bootstrap: one blind rotation per sample,
-/// n_out sample extractions each. Output j of sample b lands in
+/// blind rotation over all B samples against a shared test vector, then
+/// n_out sample extractions per sample. Output j of sample b lands in
 /// outs[j * batch + b]; coeff_offsets[j] is the ring coefficient to extract
 /// (slot_shift * N / slots, see tfhe/lut.h -- offset 0 is the primary
-/// output, identical to the single-output path). Extractions may not alias
-/// xs (the accumulator is read n_out times).
+/// output, so n_out = 1 at offset 0 is the plain single-output LUT).
+/// Extractions may not alias xs (the accumulator is read n_out times).
 template <class Engine>
 void functional_bootstrap_multi_wo_keyswitch_batch(
     const Engine& eng, const DeviceBootstrapKey<Engine>& key,
@@ -157,7 +115,9 @@ void functional_bootstrap_multi_wo_keyswitch_batch(
   }
 }
 
-/// By-value convenience wrapper around functional_bootstrap_into.
+/// Bootstrap one sample through the LUT, by value: LWE(f(m)) with fresh
+/// noise, under the gate key (key switch included). A B = 1, single-output
+/// call of the batched path, for examples and tests.
 template <class Engine>
 LweSample functional_bootstrap(const Engine& eng,
                                const DeviceBootstrapKey<Engine>& key,
@@ -166,9 +126,13 @@ LweSample functional_bootstrap(const Engine& eng,
                                const LweSample& x,
                                BootstrapWorkspace<Engine>& ws,
                                BlindRotateMode mode = BlindRotateMode::kBundle) {
-  LweSample out;
-  functional_bootstrap_into(eng, key, ks, testv, x, ws, out, mode);
-  return out;
+  LweSample u;
+  const LweSample* in = &x;
+  LweSample* up = &u;
+  const int offset = 0;
+  functional_bootstrap_multi_wo_keyswitch_batch(eng, key, testv, &in, &up,
+                                                &offset, 1, 1, ws, mode);
+  return key_switch(ks, u);
 }
 
 /// Pre-bootstrap linear combination of a fused Boolean LUT cone

@@ -1,12 +1,12 @@
-// The linear (pre-bootstrap) part of each two-input gate: the combination of
-// input ciphertexts whose sign the gate bootstrapping thresholds (paper
-// section 2, "Logic"). Shared by the eager GateEvaluator and the batch
-// executor so both paths compute bit-identical ciphertexts.
+// The linear (bootstrap-free) part of each gate: the combination of input
+// ciphertexts whose sign the gate bootstrapping thresholds (paper section 2,
+// "Logic"), and MUX's branch inputs and combine. Shared by the eager
+// GateEvaluator and the batch executor so both paths compute bit-identical
+// ciphertexts.
 #pragma once
 
 #include <cassert>
 
-#include "tfhe/bootstrap.h"
 #include "tfhe/gate_kind.h"
 #include "tfhe/lwe.h"
 
@@ -57,51 +57,28 @@ inline LweSample binary_gate_input(GateKind kind, const LweSample& a,
 }
 
 /// MUX(sel, c1, c0) = sel ? c1 : c0 -- the TFHE library's construction:
-/// u1 = BS(AND(sel, c1)), u2 = BS(AND(NOT sel, c0)) without key switch, then
-/// MUX = KS(u1 + u2 + (0, mu)).
-///
-/// mux_pre_keyswitch_into computes the N-LWE sum u1 + u2 + (0, mu) into
-/// `out` (the batch executor defers the key switch to a batched flush);
-/// mux_gate_eval_into finishes the key switch in place. out must not alias
-/// the inputs (it holds u1 across the second bootstrap).
-template <class Engine>
-void mux_pre_keyswitch_into(const Engine& eng,
-                            const DeviceBootstrapKey<Engine>& bk, Torus32 mu,
-                            const LweSample& sel, const LweSample& c1,
-                            const LweSample& c0,
-                            BootstrapWorkspace<Engine>& ws, LweSample& out,
-                            BlindRotateMode mode) {
-  const LweSample neg = LweSample::trivial(bk.n_lwe, static_cast<Torus32>(-mu));
-  LweSample and1 = neg + sel + c1;
-  bootstrap_wo_keyswitch_into(eng, bk, mu, and1, ws, out, mode); // u1
-  LweSample nsel = sel;
-  nsel.negate();
-  LweSample and2 = neg + nsel + c0;
-  bootstrap_wo_keyswitch_into(eng, bk, mu, and2, ws, ws.extracted2, mode); // u2
-  out += ws.extracted2;
-  out.b += mu;
+/// u1 = BS(AND(sel, c1)) and u2 = BS(AND(NOT sel, c0)), both without the
+/// key switch, then MUX = KS(u1 + u2 + (0, mu)). The two branch bootstraps
+/// are independent, so callers run them as one batched blind rotation.
+/// mux_branch_inputs writes the two bootstrap inputs -mu + sel + c1 and
+/// -mu - sel + c0 (into existing storage: allocation-free once at capacity;
+/// in1/in2 must not alias the operands).
+inline void mux_branch_inputs(const LweSample& sel, const LweSample& c1,
+                              const LweSample& c0, Torus32 mu, LweSample& in1,
+                              LweSample& in2) {
+  in1 = sel;
+  in1 += c1;
+  in1.b -= mu;
+  in2 = c0;
+  in2 -= sel;
+  in2.b -= mu;
 }
 
-template <class Engine>
-void mux_gate_eval_into(const Engine& eng,
-                        const DeviceBootstrapKey<Engine>& bk,
-                        const KeySwitchKey& ks, Torus32 mu,
-                        const LweSample& sel, const LweSample& c1,
-                        const LweSample& c0, BootstrapWorkspace<Engine>& ws,
-                        LweSample& out, BlindRotateMode mode) {
-  mux_pre_keyswitch_into(eng, bk, mu, sel, c1, c0, ws, ws.extracted, mode);
-  key_switch_into(ks, ws.extracted, out);
-}
-
-template <class Engine>
-LweSample mux_gate_eval(const Engine& eng, const DeviceBootstrapKey<Engine>& bk,
-                        const KeySwitchKey& ks, Torus32 mu,
-                        const LweSample& sel, const LweSample& c1,
-                        const LweSample& c0, BootstrapWorkspace<Engine>& ws,
-                        BlindRotateMode mode) {
-  LweSample out;
-  mux_gate_eval_into(eng, bk, ks, mu, sel, c1, c0, ws, out, mode);
-  return out;
+/// The bootstrap-free MUX combine, in place: u1 <- u1 + u2 + (0, mu), the
+/// N-LWE sample the final key switch consumes.
+inline void mux_combine(LweSample& u1, const LweSample& u2, Torus32 mu) {
+  u1 += u2;
+  u1.b += mu;
 }
 
 } // namespace matcha

@@ -81,8 +81,8 @@ class GateEvaluator {
     bd.total_ns += dt;
     return r;
   }
-  /// MUX(sel, c1, c0) = sel ? c1 : c0 -- two bootstraps + one key switch
-  /// (the TFHE library's construction).
+  /// MUX(sel, c1, c0) = sel ? c1 : c0 -- two bootstraps (one B = 2 flush)
+  /// + one key switch (the TFHE library's construction, tfhe/gate_ops.h).
   LweSample gate_mux(const LweSample& sel, const LweSample& c1, const LweSample& c0);
 
   const GateBreakdown& breakdown(GateKind kind) const {
@@ -100,8 +100,6 @@ class GateEvaluator {
         .count();
   }
 
-  LweSample trivial(Torus32 mu) const { return LweSample::trivial(bk_.n_lwe, mu); }
-
   LweSample binary_gate(GateKind kind, LweSample combo, int64_t linear_ns) {
     auto& bd = breakdown_[static_cast<int>(kind)];
     bd.gates += 1;
@@ -110,7 +108,9 @@ class GateEvaluator {
     const int64_t to0 = ctr.to_spectral_ns;
     const int64_t from0 = ctr.from_spectral_ns;
     const auto t0 = clock_now();
-    bootstrap_into(eng_, bk_, ks_, mu_, combo, ws_, combo, mode_);
+    const LweSample* in = &combo;
+    LweSample* out = &combo;
+    bootstrap_batch(eng_, bk_, ks_, mu_, &in, &out, 1, ws_, ks_ws_, mode_);
     const int64_t boot = ns_since(t0);
     const int64_t ifft = ctr.to_spectral_ns - to0;
     const int64_t fft = ctr.from_spectral_ns - from0;
@@ -126,7 +126,13 @@ class GateEvaluator {
   const KeySwitchKey& ks_;
   Torus32 mu_;
   BlindRotateMode mode_;
+  // Immediate mode is the batched path at B = 1 (B = 2 for MUX's two
+  // branch bootstraps). These workspaces and the MUX scratch are grow-only,
+  // so a warm evaluator's bootstraps allocate nothing.
   BootstrapWorkspace<Engine> ws_;
+  KeySwitchWorkspace ks_ws_;
+  std::array<LweSample, 2> mux_in_; ///< MUX branch bootstrap inputs
+  std::array<LweSample, 2> mux_u_;  ///< their N-LWE outputs u1, u2
   std::array<GateBreakdown, 8> breakdown_{};
 };
 
@@ -140,7 +146,15 @@ LweSample GateEvaluator<Engine>::gate_mux(const LweSample& sel,
   const int64_t to0 = ctr.to_spectral_ns;
   const int64_t from0 = ctr.from_spectral_ns;
   const auto t0 = clock_now();
-  LweSample out = mux_gate_eval(eng_, bk_, ks_, mu_, sel, c1, c0, ws_, mode_);
+  mux_branch_inputs(sel, c1, c0, mu_, mux_in_[0], mux_in_[1]);
+  const LweSample* ins[2] = {&mux_in_[0], &mux_in_[1]};
+  LweSample* us[2] = {&mux_u_[0], &mux_u_[1]};
+  bootstrap_wo_keyswitch_batch(eng_, bk_, mu_, ins, us, 2, ws_, mode_);
+  mux_combine(mux_u_[0], mux_u_[1], mu_);
+  LweSample out;
+  const LweSample* ks_in = &mux_u_[0];
+  LweSample* ks_out = &out;
+  key_switch_batch(ks_, &ks_in, &ks_out, 1, ks_ws_);
   const int64_t total = ns_since(t0);
   const int64_t ifft = ctr.to_spectral_ns - to0;
   const int64_t fft = ctr.from_spectral_ns - from0;

@@ -64,33 +64,12 @@ KeySwitchKey make_keyswitch_key(const LweKey& in, const LweKey& out,
   return ks;
 }
 
-void key_switch_into(const KeySwitchKey& ks, const LweSample& c,
-                     LweSample& out, SimdLevel level) {
-  assert(c.n() == ks.n_in);
-  assert(&out != &c);
-  const SpectralKernels& kr = spectral_kernels(level);
-  out.a.assign(static_cast<size_t>(ks.n_out), 0);
-  const Torus32 off = round_offset(ks.params);
-  const uint32_t mask = ks.params.base() - 1;
-  const uint32_t vstride = ks.params.base() - 1;
-  Torus32 b = c.b;
-  for (int j = 0; j < ks.t_used; ++j) {
-    const int shift = 32 - (j + 1) * ks.params.basebit;
-    const size_t jbase = static_cast<size_t>(j) * ks.n_in * vstride;
-    for (int i = 0; i < ks.n_in; ++i) {
-      const uint32_t v = ((c.a[static_cast<size_t>(i)] + off) >> shift) & mask;
-      if (v == 0) continue;
-      const size_t r = jbase + static_cast<size_t>(i) * vstride + (v - 1);
-      kr.u32_sub(out.a.data(), ks.row_a(r), ks.n_out);
-      b -= ks.b_plane[r];
-    }
-  }
-  out.b = b;
-}
-
 LweSample key_switch(const KeySwitchKey& ks, const LweSample& c) {
+  KeySwitchWorkspace ws;
   LweSample out(ks.n_out);
-  key_switch_into(ks, c, out);
+  const LweSample* in = &c;
+  LweSample* outp = &out;
+  key_switch_batch(ks, &in, &outp, 1, ws);
   return out;
 }
 

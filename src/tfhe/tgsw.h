@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <vector>
 
 #include "math/decompose.h"

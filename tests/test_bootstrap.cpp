@@ -110,8 +110,10 @@ TEST(Bootstrap, WoKeySwitchOutputUnderExtractedKey) {
   BootstrapWorkspace<DoubleFftEngine> ws(K.deng, K.params.gadget);
   const LweSample in = lwe_encrypt(K.sk.lwe, torus_fraction(1, 8),
                                    K.params.lwe.sigma, rng);
-  const LweSample u =
-      bootstrap_wo_keyswitch(K.deng, bk, K.params.mu(), in, ws);
+  LweSample u;
+  const LweSample* inp = &in;
+  LweSample* up = &u;
+  bootstrap_wo_keyswitch_batch(K.deng, bk, K.params.mu(), &inp, &up, 1, ws);
   EXPECT_EQ(u.n(), K.params.ring.n_ring);
   EXPECT_LT(torus_distance(lwe_phase(K.sk.extracted, u), K.params.mu()),
             1.0 / 16);

@@ -1,9 +1,9 @@
-// Batched blind rotation: group-major BSK streaming must be bit-for-bit
-// identical to the sequential path at every batch size, on every engine,
-// in every mode -- the whole point of sharing the per-sample step functions
-// between blind_rotate and blind_rotate_batch. Also covers the batched
-// functional bootstrap and the BatchExecutor's per-wavefront bootstrap
-// flush across thread counts.
+// Batched blind rotation: group-major BSK streaming is the only blind
+// rotation, and a single-sample bootstrap is a B = 1 call of it. A sample's
+// output must not depend on what it is batched with, so every batch size
+// must match B independent B = 1 calls bit for bit, on every engine, in
+// every mode. Also covers the batched functional bootstrap and the
+// BatchExecutor's per-wavefront bootstrap flush across thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,24 +55,27 @@ std::vector<LweSample> make_inputs(int count, uint64_t seed) {
   return xs;
 }
 
-/// bootstrap_batch vs per-sample bootstrap_into, bitwise, on one engine /
-/// cloud keyset / mode / batch size. Two independent workspaces so neither
-/// path can lean on the other's cached state.
+/// bootstrap_batch at batch size B vs B independent B = 1 calls, bitwise,
+/// on one engine / cloud keyset / mode. Each B = 1 call gets a fresh
+/// workspace, so neither side can lean on the other's cached state.
 template <class Engine>
-void expect_batch_matches_sequential(const Engine& eng, const CloudKeyset& ck,
-                                     BlindRotateMode mode, int batch,
-                                     uint64_t seed) {
+void expect_batch_matches_single(const Engine& eng, const CloudKeyset& ck,
+                                 BlindRotateMode mode, int batch,
+                                 uint64_t seed) {
   const auto& K = shared_keys();
   const auto bk = load_bootstrap_key(eng, ck.bk);
-  BootstrapWorkspace<Engine> ws_seq(eng, K.params.gadget);
   BootstrapWorkspace<Engine> ws_bat(eng, K.params.gadget);
   KeySwitchWorkspace ks_ws;
 
   const std::vector<LweSample> xs = make_inputs(batch, seed);
   std::vector<LweSample> want(static_cast<size_t>(batch));
   for (int b = 0; b < batch; ++b) {
-    bootstrap_into(eng, bk, ck.ks, K.params.mu(), xs[static_cast<size_t>(b)],
-                   ws_seq, want[static_cast<size_t>(b)], mode);
+    BootstrapWorkspace<Engine> ws_one(eng, K.params.gadget);
+    KeySwitchWorkspace ks_one;
+    const LweSample* in = &xs[static_cast<size_t>(b)];
+    LweSample* out = &want[static_cast<size_t>(b)];
+    bootstrap_batch(eng, bk, ck.ks, K.params.mu(), &in, &out, 1, ws_one,
+                    ks_one, mode);
   }
 
   std::vector<LweSample> got(static_cast<size_t>(batch));
@@ -98,12 +101,12 @@ void expect_batch_matches_sequential(const Engine& eng, const CloudKeyset& ck,
 TEST(BootstrapBatch, DoubleEngineBundleAllUnrolls) {
   const auto& K = shared_keys();
   for (const int batch : {1, 2, 7, 32}) {
-    expect_batch_matches_sequential(K.deng, K.ck1, BlindRotateMode::kBundle,
+    expect_batch_matches_single(K.deng, K.ck1, BlindRotateMode::kBundle,
                                     batch, 11);
     if (batch <= 7) { // keep the m sweep off the largest batch for runtime
-      expect_batch_matches_sequential(K.deng, K.ck2, BlindRotateMode::kBundle,
+      expect_batch_matches_single(K.deng, K.ck2, BlindRotateMode::kBundle,
                                       batch, 12);
-      expect_batch_matches_sequential(K.deng, K.ck3, BlindRotateMode::kBundle,
+      expect_batch_matches_single(K.deng, K.ck3, BlindRotateMode::kBundle,
                                       batch, 13);
     }
   }
@@ -112,8 +115,18 @@ TEST(BootstrapBatch, DoubleEngineBundleAllUnrolls) {
 TEST(BootstrapBatch, DoubleEngineClassicCMux) {
   const auto& K = shared_keys();
   for (const int batch : {1, 2, 7}) {
-    expect_batch_matches_sequential(K.deng, K.ck1,
+    expect_batch_matches_single(K.deng, K.ck1,
                                     BlindRotateMode::kClassicCMux, batch, 21);
+  }
+}
+
+TEST(BootstrapBatch, LiftEngineBothModes) {
+  const auto& K = shared_keys();
+  for (const int batch : {1, 3}) {
+    expect_batch_matches_single(K.leng, K.ck2, BlindRotateMode::kBundle, batch,
+                                25);
+    expect_batch_matches_single(K.leng, K.ck1, BlindRotateMode::kClassicCMux,
+                                batch, 26);
   }
 }
 
@@ -123,12 +136,12 @@ TEST(BootstrapBatch, SimdEngineAllLevels) {
   for (const SimdLevel level : testable_levels()) {
     SimdFftEngine eng(n_ring, level);
     for (const int batch : {1, 7, 32}) {
-      expect_batch_matches_sequential(eng, K.ck2, BlindRotateMode::kBundle,
+      expect_batch_matches_single(eng, K.ck2, BlindRotateMode::kBundle,
                                       batch, 31);
     }
-    expect_batch_matches_sequential(eng, K.ck1, BlindRotateMode::kClassicCMux,
+    expect_batch_matches_single(eng, K.ck1, BlindRotateMode::kClassicCMux,
                                     2, 32);
-    expect_batch_matches_sequential(eng, K.ck3, BlindRotateMode::kBundle, 2,
+    expect_batch_matches_single(eng, K.ck3, BlindRotateMode::kBundle, 2,
                                     33);
   }
 }
@@ -167,18 +180,25 @@ TEST(BootstrapBatch, OutputsMayAliasInputs) {
   }
 }
 
-TEST(BootstrapBatch, FunctionalBatchMatchesSequential) {
+/// The batched functional bootstrap (two outputs per rotation: the primary
+/// at offset 0 and one shifted slot band) at batch size B vs B independent
+/// B = 1 calls on fresh workspaces, bitwise.
+template <class Engine>
+void expect_functional_batch_matches_single(const Engine& eng,
+                                            const CloudKeyset& ck,
+                                            BlindRotateMode mode,
+                                            uint64_t seed) {
   const auto& K = shared_keys();
   const int slots = 4;
-  Rng rng = test::test_rng(51);
+  Rng rng = test::test_rng(seed);
   std::vector<Torus32> vals(slots);
   for (int i = 0; i < slots; ++i) {
     vals[static_cast<size_t>(i)] = encode_message((i * 3 + 1) % slots, slots);
   }
-  const TorusPolynomial tv = make_lut_testvector(K.params.ring.n_ring, vals);
-  const auto bk = load_bootstrap_key(K.deng, K.ck2.bk);
-  BootstrapWorkspace<DoubleFftEngine> ws_seq(K.deng, K.params.gadget);
-  BootstrapWorkspace<DoubleFftEngine> ws_bat(K.deng, K.params.gadget);
+  const int n_ring = K.params.ring.n_ring;
+  const TorusPolynomial tv = make_lut_testvector(n_ring, vals);
+  const auto bk = load_bootstrap_key(eng, ck.bk);
+  const int offsets[2] = {0, n_ring / slots};
 
   const int batch = 8;
   std::vector<LweSample> xs;
@@ -186,26 +206,61 @@ TEST(BootstrapBatch, FunctionalBatchMatchesSequential) {
     xs.push_back(encrypt_message(K.sk.lwe, b % slots, slots,
                                  K.params.lwe.sigma, rng));
   }
-  std::vector<LweSample> want(static_cast<size_t>(batch));
+  // Output j of sample b lives at [j * batch + b] on both sides.
+  std::vector<LweSample> want(static_cast<size_t>(2 * batch));
   for (int b = 0; b < batch; ++b) {
-    functional_bootstrap_wo_keyswitch_into(K.deng, bk, tv,
-                                           xs[static_cast<size_t>(b)], ws_seq,
-                                           want[static_cast<size_t>(b)]);
+    BootstrapWorkspace<Engine> ws_one(eng, K.params.gadget);
+    const LweSample* in = &xs[static_cast<size_t>(b)];
+    LweSample* outs[2] = {&want[static_cast<size_t>(b)],
+                          &want[static_cast<size_t>(batch + b)]};
+    functional_bootstrap_multi_wo_keyswitch_batch(eng, bk, tv, &in, outs,
+                                                  offsets, 2, 1, ws_one, mode);
   }
 
-  std::vector<LweSample> got(static_cast<size_t>(batch));
+  BootstrapWorkspace<Engine> ws_bat(eng, K.params.gadget);
+  std::vector<LweSample> got(static_cast<size_t>(2 * batch));
   std::vector<const LweSample*> in_ptrs(static_cast<size_t>(batch));
-  std::vector<LweSample*> out_ptrs(static_cast<size_t>(batch));
+  std::vector<LweSample*> out_ptrs(static_cast<size_t>(2 * batch));
   for (int b = 0; b < batch; ++b) {
     in_ptrs[static_cast<size_t>(b)] = &xs[static_cast<size_t>(b)];
-    out_ptrs[static_cast<size_t>(b)] = &got[static_cast<size_t>(b)];
   }
-  functional_bootstrap_wo_keyswitch_batch(K.deng, bk, tv, in_ptrs.data(),
-                                          out_ptrs.data(), batch, ws_bat);
+  for (int k = 0; k < 2 * batch; ++k) {
+    out_ptrs[static_cast<size_t>(k)] = &got[static_cast<size_t>(k)];
+  }
+  functional_bootstrap_multi_wo_keyswitch_batch(eng, bk, tv, in_ptrs.data(),
+                                                out_ptrs.data(), offsets, 2,
+                                                batch, ws_bat, mode);
+  for (int k = 0; k < 2 * batch; ++k) {
+    EXPECT_TRUE(same_sample(want[static_cast<size_t>(k)],
+                            got[static_cast<size_t>(k)]))
+        << "output " << k / batch << " of sample " << k % batch;
+  }
+  // The primary output decodes through the LUT under the extracted key.
   for (int b = 0; b < batch; ++b) {
-    EXPECT_TRUE(same_sample(want[static_cast<size_t>(b)],
-                            got[static_cast<size_t>(b)]))
+    EXPECT_EQ(decode_message(lwe_phase(K.sk.extracted,
+                                       got[static_cast<size_t>(b)]),
+                             slots),
+              ((b % slots) * 3 + 1) % slots)
         << "sample " << b;
+  }
+}
+
+TEST(BootstrapBatch, FunctionalBatchMatchesSequential) {
+  const auto& K = shared_keys();
+  expect_functional_batch_matches_single(K.deng, K.ck2,
+                                         BlindRotateMode::kBundle, 51);
+  expect_functional_batch_matches_single(K.deng, K.ck1,
+                                         BlindRotateMode::kClassicCMux, 52);
+  expect_functional_batch_matches_single(K.leng, K.ck2,
+                                         BlindRotateMode::kBundle, 53);
+  expect_functional_batch_matches_single(K.leng, K.ck1,
+                                         BlindRotateMode::kClassicCMux, 54);
+  for (const SimdLevel level : testable_levels()) {
+    SimdFftEngine eng(K.params.ring.n_ring, level);
+    expect_functional_batch_matches_single(eng, K.ck2,
+                                           BlindRotateMode::kBundle, 55);
+    expect_functional_batch_matches_single(eng, K.ck1,
+                                           BlindRotateMode::kClassicCMux, 56);
   }
 }
 

@@ -203,28 +203,46 @@ TEST(BatchExecutor, AllGateKindsIncludingMuxAndNot) {
 
   BatchExecutor<DoubleFftEngine> seq(make_engine, dk.bk, *dk.ks, K.params.mu(), 1);
   BatchExecutor<DoubleFftEngine> par(make_engine, dk.bk, *dk.ks, K.params.mu(), 4);
-  for (int va = 0; va <= 1; ++va) {
-    for (int vc = 0; vc <= 1; ++vc) {
-      Rng r1 = test::test_rng(20 + va * 2 + vc);
-      Rng r2 = test::test_rng(20 + va * 2 + vc);
-      const auto enc = [&](Rng& r) {
-        return std::vector<LweSample>{K.sk.encrypt_bit(va, r),
-                                      K.sk.encrypt_bit(vc, r),
-                                      K.sk.encrypt_bit(1, r)};
-      };
-      const BatchResult rs = seq.run(b.graph(), enc(r1));
-      const BatchResult rp = par.run(b.graph(), enc(r2));
-      for (size_t i = 0; i < rs.values.size(); ++i) {
-        ASSERT_TRUE(same_sample(rs.values[i], rp.values[i])) << "wire " << i;
+  auto ev = dk.make_evaluator(K.deng, K.params.mu());
+  for (int vs = 0; vs <= 1; ++vs) {
+    for (int va = 0; va <= 1; ++va) {
+      for (int vc = 0; vc <= 1; ++vc) {
+        const uint64_t seed = 20 + vs * 4 + va * 2 + vc;
+        Rng r1 = test::test_rng(seed);
+        Rng r2 = test::test_rng(seed);
+        Rng r3 = test::test_rng(seed);
+        const auto enc = [&](Rng& r) {
+          return std::vector<LweSample>{K.sk.encrypt_bit(va, r),
+                                        K.sk.encrypt_bit(vc, r),
+                                        K.sk.encrypt_bit(vs, r)};
+        };
+        const BatchResult rs = seq.run(b.graph(), enc(r1));
+        const BatchResult rp = par.run(b.graph(), enc(r2));
+        for (size_t i = 0; i < rs.values.size(); ++i) {
+          ASSERT_TRUE(same_sample(rs.values[i], rp.values[i])) << "wire " << i;
+        }
+        // Immediate mode on the same ciphertexts computes every wire bit for
+        // bit -- MUX included (one shared lowering, tfhe/gate_ops.h).
+        const std::vector<LweSample> in = enc(r3);
+        const LweSample &ca = in[0], &cc = in[1], &cs = in[2];
+        const std::pair<Wire, LweSample> immediate[] = {
+            {nand_w, ev.gate_nand(ca, cc)}, {and_w, ev.gate_and(ca, cc)},
+            {or_w, ev.gate_or(ca, cc)},     {nor_w, ev.gate_nor(ca, cc)},
+            {xor_w, ev.gate_xor(ca, cc)},   {xnor_w, ev.gate_xnor(ca, cc)},
+            {not_w, ev.gate_not(ca)},       {mux_w, ev.gate_mux(cs, ca, cc)},
+        };
+        for (const auto& [w, want] : immediate) {
+          ASSERT_TRUE(same_sample(rp.at(w), want)) << "wire " << w.id;
+        }
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(nand_w)), !(va && vc));
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(and_w)), va && vc);
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(or_w)), va || vc);
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(nor_w)), !(va || vc));
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(xor_w)), va ^ vc);
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(xnor_w)), !(va ^ vc));
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(not_w)), !va);
+        EXPECT_EQ(K.sk.decrypt_bit(rp.at(mux_w)), vs ? va : vc);
       }
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(nand_w)), !(va && vc));
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(and_w)), va && vc);
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(or_w)), va || vc);
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(nor_w)), !(va || vc));
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(xor_w)), va ^ vc);
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(xnor_w)), !(va ^ vc));
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(not_w)), !va);
-      EXPECT_EQ(K.sk.decrypt_bit(rp.at(mux_w)), va); // sel=1 -> a
     }
   }
 }

@@ -3,6 +3,7 @@
 // multi-gate circuit and a cross-engine consistency sweep at test parameters.
 #include <gtest/gtest.h>
 
+#include "fft/simd_fft.h"
 #include "noise/measure.h"
 #include "test_util.h"
 
@@ -25,6 +26,12 @@ TEST(Integration, FullSizeParamsEndToEnd) {
   const auto dkl = load_device_keyset(leng, ck);
   auto evl = dkl.make_evaluator(leng, p.mu());
 
+  // The production engine (runtime-dispatched SIMD kernels, fused bundle
+  // path).
+  SimdFftEngine seng(p.ring.n_ring);
+  const auto dks = load_device_keyset(seng, ck);
+  auto evs = dks.make_evaluator(seng, p.mu());
+
   for (int a = 0; a <= 1; ++a) {
     for (int b = 0; b <= 1; ++b) {
       const LweSample ca = sk.encrypt_bit(a, rng);
@@ -33,8 +40,15 @@ TEST(Integration, FullSizeParamsEndToEnd) {
           << "double " << a << b;
       EXPECT_EQ(sk.decrypt_bit(evl.gate_nand(ca, cb)), !(a && b))
           << "lift " << a << b;
+      EXPECT_EQ(sk.decrypt_bit(evs.gate_nand(ca, cb)), !(a && b))
+          << "simd " << a << b;
     }
   }
+  // sel = 0 picks c0, which differs from both sel and c1.
+  const LweSample sel = sk.encrypt_bit(0, rng);
+  const LweSample c1 = sk.encrypt_bit(0, rng);
+  const LweSample c0 = sk.encrypt_bit(1, rng);
+  EXPECT_EQ(sk.decrypt_bit(evs.gate_mux(sel, c1, c0)), 1) << "simd mux";
 }
 
 TEST(Integration, FullAdderCircuitTestParams) {

@@ -217,23 +217,23 @@ TEST(KeySwitch, DispatchLevelsBitIdentical) {
   std::vector<const LweSample*> inp;
   for (const auto& c : in) inp.push_back(&c);
 
-  // Scalar is the reference; every level the host can execute must agree,
-  // one sample at a time and batched.
-  std::vector<LweSample> want(batch, LweSample(0));
-  for (int k = 0; k < batch; ++k) {
-    key_switch_into(K.ck1.ks, in[static_cast<size_t>(k)],
-                    want[static_cast<size_t>(k)], SimdLevel::kScalar);
-  }
-  for (const SimdLevel level :
-       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+  // The schoolbook reference is the oracle; every level the host can
+  // execute must agree with it, one sample at a time (B = 1) and batched.
+  std::vector<LweSample> want;
+  for (const auto& c : in) want.push_back(reference_key_switch(K.ck1.ks, c));
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2,
+                                SimdLevel::kAvx512, SimdLevel::kNeon}) {
     if (!simd_level_available(level)) {
       GTEST_LOG_(INFO) << "skipping " << simd_level_name(level)
                        << ": host cannot execute it";
       continue;
     }
-    LweSample one(0);
+    KeySwitchWorkspace ws;
     for (int k = 0; k < batch; ++k) {
-      key_switch_into(K.ck1.ks, in[static_cast<size_t>(k)], one, level);
+      LweSample one(0);
+      LweSample* onep = &one;
+      key_switch_batch(K.ck1.ks, &inp[static_cast<size_t>(k)], &onep, 1, ws,
+                       level);
       EXPECT_EQ(one.a, want[static_cast<size_t>(k)].a)
           << simd_level_name(level) << " sample " << k;
       EXPECT_EQ(one.b, want[static_cast<size_t>(k)].b)
@@ -242,7 +242,6 @@ TEST(KeySwitch, DispatchLevelsBitIdentical) {
     std::vector<LweSample> got(batch, LweSample(0));
     std::vector<LweSample*> outp;
     for (auto& c : got) outp.push_back(&c);
-    KeySwitchWorkspace ws;
     key_switch_batch(K.ck1.ks, inp.data(), outp.data(), batch, ws, level);
     for (int k = 0; k < batch; ++k) {
       EXPECT_EQ(got[static_cast<size_t>(k)].a, want[static_cast<size_t>(k)].a)
