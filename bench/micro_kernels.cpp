@@ -1,7 +1,8 @@
 // Micro-kernel latencies of the spectral bottom layer, scalar vs SIMD:
 // forward/inverse negacyclic FFT, pointwise MAC, bundle rotation, external
-// product, and a whole software gate bootstrap, with the double-precision
-// reference engine alongside. Emits BENCH_micro_kernels.json (JsonWriter)
+// product, the batched bundle-mode blind rotation per sample, and a whole
+// software gate bootstrap, with the double-precision reference engine
+// alongside. Emits BENCH_micro_kernels.json (JsonWriter)
 // so scripts/bench_trend.py can gate software-bootstrap-latency regressions
 // commit over commit. Every figure comes from a warm-up plus kRounds rounds
 // interleaved across a section's probes: the gated fields (ns_op,
@@ -140,12 +141,26 @@ void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
             out);
 }
 
-/// One whole bundle-mode blind-rotate group step at the paper parameters
-/// (N=1024, Bg=1024, l=3, m=2: three subset members, all active), fused
-/// rotate-MAC vs the materialized bundle it replaced. Steady-state
-/// (st.pristine = false) so neither row gets the first-group skips; the
-/// delta is purely eliding the 2l x 2 bundle materialization.
-void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
+/// Per-sample blind rotation of a flush of B samples (bundle_step section).
+struct BundleStepRow {
+  std::string path;
+  int batch;
+  Timing t; ///< per sample
+};
+
+/// Bundle-mode rows at the paper parameters (N=1024, Bg=1024, l=3) on a
+/// hand-built m=2 key: two groups, both holding the same three subset
+/// members (the group's 2^m - 1 subset indicators).
+///   bundle_ep_*: one group step of one sample, every subset active
+///     (exponents 37, 911, 948), fused rotate-MAC vs the materialized bundle
+///     it replaced. Steady state (st.pristine = false) so neither row gets
+///     the first-group skips; the delta is purely eliding the 2l x 2 bundle
+///     materialization.
+///   bundle_step: blind_rotate_batch of B samples through both groups (a
+///     pristine first step, then a steady-state one), per sample -- B = 4
+///     shares each key row load across the flush's sample block.
+void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out,
+                 std::vector<BundleStepRow>& steps) {
   const TfheParams params = TfheParams::security110();
   SecretKeyset sk = [&] {
     Rng krng(23);
@@ -158,7 +173,7 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
 
   DeviceBootstrapKey<SimdFftEngine> bk;
   bk.unroll_m = 2;
-  bk.n_lwe = 2;
+  bk.n_lwe = 4;
   bk.n_ring = kRingN;
   bk.gadget = params.gadget;
   bk.groups.resize(1);
@@ -168,10 +183,15 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
                      params.ring.sigma, erng);
     bk.groups[0].push_back(tgsw_to_spectral(eng, raw));
   }
+  bk.groups.push_back(bk.groups[0]);
   pack_bootstrap_key_soa(eng, bk); // hand-built key: fill the SoA arena
 
   BootstrapWorkspace<SimdFftEngine> ws(eng, params.gadget);
   const std::vector<int32_t> exponents{37, 911, 948}; // every subset active
+  LweSample x(bk.n_lwe); // group 0's mask values, mod-switched: 37, 911
+  x.a[0] = 37u << 21;
+  x.a[1] = 911u << 21;
+  const LweSample* xp = &x;
   TLweSample acc(kRingN);
   for (auto& c : acc.a.coeffs) c = erng.uniform_torus();
   for (auto& c : acc.b.coeffs) c = erng.uniform_torus();
@@ -185,11 +205,41 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
               200},
              {[&] {
                 st.pristine = false;
-                bundle_rotate_step(eng, bk, 0, exponents, acc, ws.bundle,
-                                   ws.ep, st, nullptr);
+                bundle_group_step(eng, bk, 0, &xp, 1, &acc, &st, ws.exponents,
+                                  ws.bundle, ws.ep, ws.batch_flush, nullptr);
               },
               200}},
             out);
+
+  // One workspace and input set per batch size, gate test vector as in a
+  // gate bootstrap.
+  constexpr int kBatches[] = {1, 4};
+  std::deque<BootstrapWorkspace<SimdFftEngine>> wss;
+  std::deque<std::vector<LweSample>> inputs; // deques: probes hold references
+  std::deque<std::vector<const LweSample*>> ptrs;
+  std::vector<Probe> probes;
+  for (const int batch : kBatches) {
+    BootstrapWorkspace<SimdFftEngine>& w = wss.emplace_back(eng, params.gadget);
+    set_gate_testv(w, params.mu(), params.gadget);
+    auto& in = inputs.emplace_back(static_cast<size_t>(batch),
+                                   LweSample(bk.n_lwe));
+    for (LweSample& s : in) {
+      for (auto& a : s.a) a = erng.uniform_torus();
+      s.b = erng.uniform_torus();
+    }
+    auto& p = ptrs.emplace_back();
+    for (const LweSample& s : in) p.push_back(&s);
+    probes.push_back({[&eng, &bk, &w, &p, batch] {
+                        blind_rotate_batch(eng, bk, p.data(), batch, w.testv,
+                                           w);
+                      },
+                      100 / batch});
+  }
+  const std::vector<Timing> t = time_interleaved(probes);
+  for (size_t i = 0; i < t.size(); ++i) {
+    const double b = kBatches[i];
+    steps.push_back({path, kBatches[i], {t[i].min_ns / b, t[i].median_ns / b}});
+  }
 }
 
 // ---- keyswitch rows --------------------------------------------------------
@@ -354,15 +404,16 @@ int main() {
               simd_level_name(hw), active_name);
 
   std::vector<Row> rows;
+  std::vector<BundleStepRow> steps;
   {
     SimdFftEngine scalar_eng(kRingN, SimdLevel::kScalar);
     kernel_rows(scalar_eng, "scalar", rows);
-    bundle_rows(scalar_eng, "scalar", rows);
+    bundle_rows(scalar_eng, "scalar", rows, steps);
   }
   if (std::string(active_name) != "scalar") {
     SimdFftEngine simd_eng(kRingN, active);
     kernel_rows(simd_eng, simd_eng.level_name(), rows);
-    bundle_rows(simd_eng, simd_eng.level_name(), rows);
+    bundle_rows(simd_eng, simd_eng.level_name(), rows, steps);
   }
   {
     DoubleFftEngine ref_eng(kRingN);
@@ -373,6 +424,14 @@ int main() {
   std::printf("%-24s%-18s%14s%14s\n", "kernel", "path", "ns/op", "median");
   for (const Row& r : rows) {
     std::printf("%-24s%-18s%14.0f%14.0f\n", r.kernel.c_str(), r.path.c_str(),
+                r.t.min_ns, r.t.median_ns);
+  }
+
+  std::printf("\nbundle_step (blind_rotate_batch, m=2 hand-built key, "
+              "2 groups):\n");
+  std::printf("%-18s%8s%16s%14s\n", "path", "batch", "ns/sample", "median");
+  for (const BundleStepRow& r : steps) {
+    std::printf("%-18s%8d%16.0f%14.0f\n", r.path.c_str(), r.batch,
                 r.t.min_ns, r.t.median_ns);
   }
 
@@ -447,6 +506,19 @@ int main() {
     j.field("path", r.path.c_str());
     j.field("ns_op", r.t.min_ns);
     j.field("ns_op_median", r.t.median_ns);
+    j.end_object();
+  }
+  j.end_array();
+  j.name("bundle_step");
+  j.begin_array();
+  for (const BundleStepRow& r : steps) {
+    j.begin_object();
+    j.field("path", r.path.c_str());
+    j.field("batch", r.batch);
+    j.field("params", "security110");
+    j.field("unroll_m", 2);
+    j.field("ns_per_sample", r.t.min_ns);
+    j.field("ns_per_sample_median", r.t.median_ns);
     j.end_object();
   }
   j.end_array();

@@ -17,7 +17,11 @@ Two metric classes, two tolerances:
     a wide tolerance band for runner noise; only a real slowdown of the
     spectral engine trips it. Paths are compared only when both runs used
     the same SIMD level (simd_active), so a runner without AVX2 never
-    diffs apples against oranges.
+    diffs apples against oranges. Rows that carry a median beside their
+    gated min also report the current run's own spread, (median - min) /
+    min: above the band, a WARN line says that run was too noisy for its
+    comparison to tell a regression from host noise (a warning, not a
+    failure; the band itself is unchanged).
 
 A missing baseline (first run on a branch, expired artifact) is a skip, not
 a failure.
@@ -45,6 +49,19 @@ def check(label, prev, cur, failures, tolerance=TOLERANCE, lower_is_better=True)
         print(f"REGRESSION{line}")
     else:
         print(f"ok        {line}")
+
+
+def warn_spread(label, row, field):
+    """WARN when the current run's own spread of a gated min/median row
+    exceeds the noise band."""
+    lo, med = row.get(field), row.get(f"{field}_median")
+    if lo is None or med is None or lo <= 0:
+        return
+    spread = (med - lo) / lo
+    if spread > SW_LATENCY_TOLERANCE:
+        print(f"WARN        {label}: own spread {spread:.0%} (min {lo:g}, "
+              f"median {med:g}) exceeds the {SW_LATENCY_TOLERANCE:.0%} band; "
+              f"this comparison cannot tell a regression from host noise")
 
 
 def by_key(rows, *keys):
@@ -153,9 +170,20 @@ def compare_micro_kernels(prev, cur, failures):
     p = by_key(prev.get("bootstrap", []), "path")
     c = by_key(cur.get("bootstrap", []), "path")
     for key in sorted(p.keys() & c.keys()):
-        check(f"micro_kernels.bootstrap[{key[0]}].ns_op",
-              p[key]["ns_op"], c[key]["ns_op"], failures,
+        label = f"micro_kernels.bootstrap[{key[0]}].ns_op"
+        check(label, p[key]["ns_op"], c[key]["ns_op"], failures,
               tolerance=SW_LATENCY_TOLERANCE)
+        warn_spread(label, c[key], "ns_op")
+
+    # Batched bundle-mode blind rotation, per sample: the sample-blocked
+    # bundle-MAC's B = 4 row must not drift back toward B = 1.
+    p = by_key(prev.get("bundle_step", []), "path", "batch")
+    c = by_key(cur.get("bundle_step", []), "path", "batch")
+    for key in sorted(p.keys() & c.keys()):
+        label = f"micro_kernels.bundle_step[{key[0]},B={key[1]}].ns_per_sample"
+        check(label, p[key]["ns_per_sample"], c[key]["ns_per_sample"],
+              failures, tolerance=SW_LATENCY_TOLERANCE)
+        warn_spread(label, c[key], "ns_per_sample")
 
     # Keyswitch gate: per-sample latency of every (path, mode) row present in
     # both runs -- the batch-amortized rows are the PR-6 headline and must not
@@ -163,9 +191,10 @@ def compare_micro_kernels(prev, cur, failures):
     p = by_key(prev.get("keyswitch", []), "path", "mode")
     c = by_key(cur.get("keyswitch", []), "path", "mode")
     for key in sorted(p.keys() & c.keys()):
-        check(f"micro_kernels.keyswitch[{key[0]},{key[1]}].ns_per_sample",
-              p[key]["ns_per_sample"], c[key]["ns_per_sample"], failures,
-              tolerance=SW_LATENCY_TOLERANCE)
+        label = f"micro_kernels.keyswitch[{key[0]},{key[1]}].ns_per_sample"
+        check(label, p[key]["ns_per_sample"], c[key]["ns_per_sample"],
+              failures, tolerance=SW_LATENCY_TOLERANCE)
+        warn_spread(label, c[key], "ns_per_sample")
 
 
 def check_fault_header(name, cur, failures):

@@ -102,44 +102,67 @@ bool build_bundle(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
   return true;
 }
 
-/// One bundle-mode blind-rotation group step: ACC <- BKB_g (x) ACC, skipping
-/// the step entirely when every subset exponent is zero (BKB would be the
-/// identity H). This is THE per-sample step -- the batched blind rotation
-/// calls it once per (group, sample), which is what makes each sample's
-/// result bit-identical at any batch size and interleaving. Generic engines
-/// materialize the bundle (build_bundle + external_product, with the
-/// pristine zero-a skip); the SimdFftEngine overload below fuses the subset
-/// rotations into the external-product MAC and never materializes the
-/// bundle. `tc` may be null; when set it must describe ACC's initial
-/// constant test vector.
+/// Grow-only per-flush arena of the SIMD engine's fused group step
+/// (BootstrapWorkspace::batch_flush; generic engines leave it empty). Each
+/// live sample -- one whose subset exponents are not all zero -- owns one
+/// block of (4l + 6) * m doubles: its 2l digit spectra, its four
+/// accumulator planes, and the rotation factor of the subset being applied
+/// (the SpectralKernels::bundle_mac sample layout).
+struct BundleFlushArena {
+  AlignedVector<double> blocks;
+  std::vector<int> live;          ///< flush index of each live sample
+  std::vector<int32_t> exponents; ///< live sample i's subset exponents
+  std::vector<double*> macs;      ///< one bundle_mac call's sample blocks
+};
+
+/// One bundle-mode blind-rotation group step over a flush of B samples:
+/// ACC_b <- BKB_{g,b} (x) ACC_b for every sample b, skipped for a sample
+/// whose subset exponents are all zero (its BKB is the identity H). A
+/// sample's result never depends on the flush around it, which is what
+/// makes the batched blind rotation bit-identical to B = 1 calls. Generic
+/// engines materialize each sample's bundle (build_bundle +
+/// external_product, with the pristine zero-a skip); the SimdFftEngine
+/// overload below fuses the subset rotations into the MAC and never
+/// materializes a bundle. `tc` may be null; when set it must describe the
+/// samples' initial constant test vector.
 template <class Engine>
-void bundle_rotate_step(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                        int g, const std::vector<int32_t>& exponents,
-                        TLweSample& acc, TGswSpectral<Engine>& bundle,
-                        ExternalProductWorkspace<Engine>& ws,
-                        BlindRotateState& st, GateTestvSpectra* tc) {
-  (void)tc; // spectral test-vector reuse is a fused-path (SIMD) optimization
-  if (!build_bundle(eng, key, g, exponents, bundle)) return;
-  external_product(eng, key.gadget, bundle, acc, ws, /*a_is_zero=*/st.pristine);
-  st.pristine = false;
+void bundle_group_step(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
+                       int g, const LweSample* const* xs, int batch,
+                       TLweSample* accs, BlindRotateState* sts,
+                       std::vector<int32_t>& exponents,
+                       TGswSpectral<Engine>& bundle,
+                       ExternalProductWorkspace<Engine>& ws,
+                       BundleFlushArena& /*arena*/, GateTestvSpectra* /*tc*/) {
+  // Spectral test-vector reuse is a fused-path (SIMD) optimization.
+  for (int b = 0; b < batch; ++b) {
+    group_subset_exponents(xs[b]->a.data() + g * key.unroll_m, key.members(g),
+                           eng.ring_n(), exponents);
+    if (!build_bundle(eng, key, g, exponents, bundle)) continue;
+    external_product(eng, key.gadget, bundle, accs[b], ws,
+                     /*a_is_zero=*/sts[b].pristine);
+    sts[b].pristine = false;
+  }
 }
 
-/// Fused bundle-MAC group step for the SIMD engine (bku/bundle.cpp): digit
-/// spectra of ACC once, then per active subset the 2l rows run gather-free
-/// dual-column MACs (mac2) into per-subset sub-accumulators and the
-/// rotation factor (X^{-c} - 1), materialized once by rot_factor, rotates
-/// the subset-sum into the accumulator with one further mac2; the gadget
-/// identity H folds into real scale_adds of the digit spectra.
-/// On the pristine step the a-half vanishes (zero_fft_skips) and, when `tc`
-/// carries the constant gate test vector, the b-digit spectra synthesize
-/// from the cached F(ones) instead of running forward FFTs
-/// (testv_fft_reuses).
-void bundle_rotate_step(const SimdFftEngine& eng,
-                        const DeviceBootstrapKey<SimdFftEngine>& key, int g,
-                        const std::vector<int32_t>& exponents, TLweSample& acc,
-                        TGswSpectral<SimdFftEngine>& bundle,
-                        ExternalProductWorkspace<SimdFftEngine>& ws,
-                        BlindRotateState& st, GateTestvSpectra* tc);
+/// Fused bundle-MAC group step for the SIMD engine (bku/bundle.cpp), in
+/// three phases over the flush's live samples. (1) Per sample: the digit
+/// spectra of ACC and the gadget identity H (real scale_adds of the digit
+/// spectra) into the sample's arena block. On the pristine step the a-half
+/// vanishes (zero_fft_skips) and, when `tc` carries the constant gate test
+/// vector, the b-digit spectra synthesize from the cached F(ones) instead of
+/// running forward FFTs (testv_fft_reuses). (2) Per key subset: each
+/// sample's rotation factor X^{-c} - 1 (rot_factor), then ONE bundle_mac
+/// call that streams the subset's key block once per block of samples and
+/// adds f (*) sum_r d_r (*) BK_r into every sample's accumulator. (3) Per
+/// sample: the two inverse transforms. Requires the key's SoA arena
+/// (load_bootstrap_key packs it).
+void bundle_group_step(const SimdFftEngine& eng,
+                       const DeviceBootstrapKey<SimdFftEngine>& key, int g,
+                       const LweSample* const* xs, int batch, TLweSample* accs,
+                       BlindRotateState* sts, std::vector<int32_t>& exponents,
+                       TGswSpectral<SimdFftEngine>& bundle,
+                       ExternalProductWorkspace<SimdFftEngine>& ws,
+                       BundleFlushArena& arena, GateTestvSpectra* tc);
 
 /// Allocate a bundle with the right shape for `key` under `eng`.
 template <class Engine>

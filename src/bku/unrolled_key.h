@@ -61,9 +61,10 @@ struct DeviceBootstrapKey {
   /// same key material as `groups`, repacked so each group member's 2l TGSW
   /// rows form ONE contiguous block of row-stride 4m, each row laid out as
   /// the four m-double planes [col0.re | col0.im | col1.re | col1.im]. The
-  /// fused bundle path's row-blocked MAC (SpectralKernels::mac2_rows) walks a
-  /// whole subset with two base pointers and constant strides, and a group's
-  /// batch-resident working set is exactly its members' blocks back to back.
+  /// fused bundle path's sample-blocked MAC (SpectralKernels::bundle_mac)
+  /// walks a whole subset from one base pointer with constant strides, and a
+  /// group's flush-resident working set is exactly its members' blocks back
+  /// to back.
   AlignedVector<double> soa;
   size_t soa_block_doubles = 0;       ///< 2l * 4 * m per member block
   std::vector<size_t> soa_group_base; ///< member-count prefix sums per group
@@ -86,10 +87,10 @@ class SimdFftEngine;
 
 /// Fill the DeviceBootstrapKey SoA arena from its `groups` spectra. The
 /// generic overload is a no-op (interleaved-spectrum engines keep the arena
-/// empty and the fused path falls back to per-row MACs); the SimdFftEngine
-/// overload (bku/bundle.cpp) packs the planar spectra. load_bootstrap_key
-/// calls this automatically -- hand-built keys (tests, micro benches) call it
-/// directly after filling `groups`.
+/// empty and materialize bundles from `groups`); the SimdFftEngine overload
+/// (bku/bundle.cpp) packs the planar spectra, which its fused group step
+/// requires. load_bootstrap_key calls this automatically -- hand-built keys
+/// (tests, micro benches) call it directly after filling `groups`.
 template <class Engine>
 void pack_bootstrap_key_soa(const Engine&, DeviceBootstrapKey<Engine>&) {}
 void pack_bootstrap_key_soa(const SimdFftEngine& eng,

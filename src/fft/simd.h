@@ -5,9 +5,11 @@
 // kernel set per policy and the per-ISA TUs export them behind the runtime
 // vtable (fft/spectral_kernels.h). The policies are deliberately minimal:
 // load/store, add/sub/mul, fused multiply-add/sub, int32->double widening,
-// the library's fixed rounding point, the Torus32 wrap-around store, and one
-// shuffle-heavy helper (the adjacent-pair butterfly of the final radix-2
-// stage) that cannot be expressed lane-wise.
+// the library's fixed rounding point, the Torus32 wrap-around store, and the
+// shuffle-heavy helpers that cannot be expressed lane-wise: the adjacent-pair
+// butterfly of the final radix-2 stage and, on policies wider than two
+// lanes, the quarter transpose (load_q2/store_q2/bcast_q2) that runs the
+// q = 2 radix-4 stage on full vectors.
 //
 // Alongside the double lanes every policy exposes a WU-wide *integer* lane
 // vocabulary over uint32 (load/store, add/sub, shift/mask, nonzero-select).
@@ -45,6 +47,11 @@ namespace matcha::simd {
 struct Scalar {
   static constexpr int W = 1;
   using vd = double;
+  /// Samples per fused bundle-MAC block (spectral_kernels_impl.h): 4 subset
+  /// sums per sample stay live across the key rows, so the block is sized to
+  /// the register file -- 2 for the 16 SSE2 registers this tier
+  /// auto-vectorizes to.
+  static constexpr int kSampleBlock = 2;
 
   static vd load(const double* p) { return *p; }
   static void store(double* p, vd v) { *p = v; }
@@ -94,6 +101,7 @@ struct Scalar {
 struct Avx2 {
   static constexpr int W = 4;
   using vd = __m256d;
+  static constexpr int kSampleBlock = 2; ///< 8 sums of 16 ymm registers
 
   static vd load(const double* p) { return _mm256_loadu_pd(p); }
   static void store(double* p, vd v) { _mm256_storeu_pd(p, v); }
@@ -126,6 +134,29 @@ struct Avx2 {
         bits, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
                      _mm256_castsi256_si128(low));
+  }
+  /// Quarter transpose for a q = 2 radix-4 stage. The four vectors at p span
+  /// two 8-slot butterfly blocks [a b | c d] [a' b' | c' d'] (each letter one
+  /// 2-slot quarter); x[r] receives quarter r of both blocks, e.g.
+  /// x[0] = [a a'], so the butterfly runs lane-wise on full vectors.
+  static void load_q2(const double* p, vd x[4]) {
+    const vd v0 = load(p), v1 = load(p + 4), v2 = load(p + 8),
+             v3 = load(p + 12);
+    x[0] = _mm256_permute2f128_pd(v0, v2, 0x20);
+    x[1] = _mm256_permute2f128_pd(v0, v2, 0x31);
+    x[2] = _mm256_permute2f128_pd(v1, v3, 0x20);
+    x[3] = _mm256_permute2f128_pd(v1, v3, 0x31);
+  }
+  /// Inverse of load_q2.
+  static void store_q2(double* p, const vd x[4]) {
+    store(p, _mm256_permute2f128_pd(x[0], x[1], 0x20));
+    store(p + 4, _mm256_permute2f128_pd(x[2], x[3], 0x20));
+    store(p + 8, _mm256_permute2f128_pd(x[0], x[1], 0x31));
+    store(p + 12, _mm256_permute2f128_pd(x[2], x[3], 0x31));
+  }
+  /// The q = 2 stage's twiddle pair {w[0], w[1]} repeated across the vector.
+  static vd bcast_q2(const double* w) {
+    return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w));
   }
   static void butterfly_pairs(const double* src, double* dst, int pairs) {
     int i = 0;
@@ -173,6 +204,7 @@ struct Avx2 {
 struct Avx512 {
   static constexpr int W = 8;
   using vd = __m512d;
+  static constexpr int kSampleBlock = 4; ///< 16 sums of 32 zmm registers
 
   static vd load(const double* p) { return _mm512_loadu_pd(p); }
   static void store(double* p, vd v) { _mm512_storeu_pd(p, v); }
@@ -198,6 +230,44 @@ struct Avx512 {
     const __m512i t = _mm512_cvttpd_epi64(x);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
                         _mm512_cvtepi64_epi32(t));
+  }
+  /// Quarter transpose for a q = 2 radix-4 stage: the four vectors at p span
+  /// four 8-slot butterfly blocks, one per vector, each [a b c d] in 2-slot
+  /// quarters; x[r] receives quarter r of all four blocks. A 4x4 transpose
+  /// of 128-bit lanes.
+  static void load_q2(const double* p, vd x[4]) {
+    const vd v[4] = {load(p), load(p + 8), load(p + 16), load(p + 24)};
+    lane_transpose(v, x);
+  }
+  /// Inverse of load_q2 (the lane transpose is its own inverse).
+  static void store_q2(double* p, const vd x[4]) {
+    vd v[4];
+    lane_transpose(x, v);
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) store(p + 8 * r, v[r]);
+  }
+  /// The q = 2 stage's twiddle pair {w[0], w[1]} repeated across the vector.
+  /// (The maskz forms with an all-ones mask compile to the plain
+  /// instructions; GCC's unmasked intrinsics go through
+  /// _mm512_undefined_pd and trip -Wmaybe-uninitialized.)
+  static vd bcast_q2(const double* w) {
+    return _mm512_maskz_broadcast_f64x2(0xFF, _mm_loadu_pd(w));
+  }
+  template <int kImm>
+  static vd shuffle_lanes(vd a, vd b) {
+    return _mm512_maskz_shuffle_f64x2(0xFF, a, b, kImm);
+  }
+  static void lane_transpose(const vd in[4], vd out[4]) {
+    constexpr int kLo = _MM_SHUFFLE(1, 0, 1, 0), kHi = _MM_SHUFFLE(3, 2, 3, 2);
+    constexpr int kEven = _MM_SHUFFLE(2, 0, 2, 0), kOdd = _MM_SHUFFLE(3, 1, 3, 1);
+    const vd t0 = shuffle_lanes<kLo>(in[0], in[1]);
+    const vd t1 = shuffle_lanes<kHi>(in[0], in[1]);
+    const vd t2 = shuffle_lanes<kLo>(in[2], in[3]);
+    const vd t3 = shuffle_lanes<kHi>(in[2], in[3]);
+    out[0] = shuffle_lanes<kEven>(t0, t2);
+    out[1] = shuffle_lanes<kOdd>(t0, t2);
+    out[2] = shuffle_lanes<kEven>(t1, t3);
+    out[3] = shuffle_lanes<kOdd>(t1, t3);
   }
   static void butterfly_pairs(const double* src, double* dst, int pairs) {
     int i = 0;
@@ -249,6 +319,7 @@ struct Avx512 {
 struct Neon {
   static constexpr int W = 2;
   using vd = float64x2_t;
+  static constexpr int kSampleBlock = 4; ///< 16 sums of 32 q registers
 
   static vd load(const double* p) { return vld1q_f64(p); }
   static void store(double* p, vd v) { vst1q_f64(p, v); }

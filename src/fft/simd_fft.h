@@ -102,11 +102,7 @@ struct ExternalProductWorkspace<SimdFftEngine> {
   int l = 0, n = 0, m = 0;
   AlignedVector<int32_t> digits; ///< 2l planes of n int32 digits
   AlignedVector<double> spec;    ///< 2l planes of re[m] then im[m]
-  AlignedVector<double> rotf;    ///< fused-path X^{-c}-1 factor, re[m] im[m]
   SimdFftEngine::SpectralAcc acc_a, acc_b;
-  /// Fused-path per-subset sub-accumulators: u = sum_r digit_r (*) key_row_r
-  /// per column, rotated into acc_a/acc_b by one mac2 against rotf.
-  SimdFftEngine::SpectralAcc sub_a, sub_b;
 
   ExternalProductWorkspace(const SimdFftEngine& eng, const GadgetParams& g)
       : l(g.l),
@@ -117,11 +113,8 @@ struct ExternalProductWorkspace<SimdFftEngine> {
         spec(static_cast<size_t>(2 * g.l) * 2 *
                  static_cast<size_t>(eng.spectral_size()),
              0.0),
-        rotf(2 * static_cast<size_t>(eng.spectral_size()), 0.0),
         acc_a(eng.spectral_size()),
-        acc_b(eng.spectral_size()),
-        sub_a(eng.spectral_size()),
-        sub_b(eng.spectral_size()) {}
+        acc_b(eng.spectral_size()) {}
 
   int32_t* digit_plane(int r) { return digits.data() + static_cast<size_t>(r) * n; }
   double* spec_re(int r) { return spec.data() + static_cast<size_t>(r) * 2 * m; }

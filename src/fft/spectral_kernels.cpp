@@ -110,8 +110,7 @@ const SpectralKernels kScalarKernels = {
     &detail::PlanarKernels<simd::Scalar>::add_assign,
     &detail::PlanarKernels<simd::Scalar>::scale_add,
     &detail::generic_rot_factor,
-    &detail::PlanarKernels<simd::Scalar>::mac2,
-    &detail::PlanarKernels<simd::Scalar>::mac2_rows,
+    &detail::PlanarKernels<simd::Scalar>::bundle_mac,
     &detail::generic_decompose,
     &detail::u32_sub<simd::Scalar>,
     &detail::ks_digits<simd::Scalar>,

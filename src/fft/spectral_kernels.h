@@ -12,6 +12,9 @@
 //     the untwist, the 1/m normalization, and the Torus32 rounding fused
 //     into the last stage's stores. The MAC-only external-product path
 //     therefore never permutes data.
+//   A q = 2 stage (quarters narrower than an AVX2/AVX-512 vector) runs on
+//   full vectors through an in-register quarter transpose (fft/simd.h
+//   load_q2/store_q2); the plan and storage order do not change.
 //
 // Pointwise kernels (mac, add_assign, add_constant) are order-agnostic. The
 // one index-dependent kernel, rot_scale_add (bundle construction, multiplies
@@ -111,38 +114,29 @@ struct SpectralKernels {
   /// Materialize the pointwise rotation factor f = X^{-c} - 1 (c mod 2N)
   /// into planar buffers: fr[k] = rot_re[idx(k)] - 1, fi[k] = rot_im[idx(k)]
   /// with the same ft1 storage-order gathers as rot_scale_add. The fused
-  /// bundle path runs this ONCE per active key subset -- the factor is
-  /// identical across all 2l decomposition rows -- so the gathers drop out
-  /// of the per-row hot loop entirely.
+  /// bundle path runs this once per sample and active key subset -- the
+  /// factor is identical across all 2l decomposition rows -- so the gathers
+  /// drop out of the bundle_mac hot loop entirely.
   void (*rot_factor)(const NegacyclicPlan& plan, double* fr, double* fi,
                      int64_t c);
-  /// Fused bundle-MAC: a0 += s * b0 and a1 += s * b1, pointwise complex over
-  /// m slots -- a dual-column MAC whose shared left operand s is loaded once
-  /// per slot. The fused bundle path uses it twice per active key subset:
-  /// per decomposition row with s = digit spectrum against both TGSW key
-  /// columns (accumulating the subset-sums u0/u1), then once with
-  /// s = rot_factor's X^{-c} - 1 planes against u0/u1 to rotate the whole
-  /// subset contribution into the accumulator. The bundle (2l x 2 spectra)
-  /// is never materialized, and the rotation is applied once per
-  /// subset-column instead of once per key row. All streams are contiguous
-  /// planar loads (no gathers) and must not alias.
-  void (*mac2)(int m, const double* sr, const double* si, const double* b0r,
-               const double* b0i, const double* b1r, const double* b1i,
-               double* a0r, double* a0i, double* a1r, double* a1i);
-  /// Row-blocked dual-column MAC over one key subset: for rows r in
-  /// [r0, rows), with s_r at spec + r*2m (re plane, im at +m) and the key
-  /// row's four planes at key + r*4m as [b0.re | b0.im | b1.re | b1.im]
-  /// (the DeviceBootstrapKey SoA arena layout), compute
-  ///     a0 = sum_r s_r * b0_r,   a1 = sum_r s_r * b1_r
-  /// pointwise complex, OVERWRITING a0/a1 (set, not accumulate -- callers
-  /// skip the clear). The row sum stays in registers across rows, so the
-  /// accumulator memory round-trip that dominates per-row mac2 chains (8 of
-  /// their 14 memory ops per slot) disappears; per-slot row order matches a
-  /// mac2-per-row chain, so sums associate identically. Requires r0 < rows;
-  /// streams must not alias.
-  void (*mac2_rows)(int m, int r0, int rows, const double* spec,
-                    const double* key, double* a0r, double* a0i, double* a1r,
-                    double* a1i);
+  /// Fused bundle-MAC over one key subset for `count` samples: for each
+  /// sample b,
+  ///     acc_b += f_b (*) sum_{r < rows} d_{b,r} (*) BK_r
+  /// pointwise complex over m slots, per key column. `key` holds the subset's
+  /// rows at key + r*4m, each the four planes [col0.re | col0.im | col1.re |
+  /// col1.im] (the DeviceBootstrapKey SoA arena layout). samples[b] points at
+  /// sample b's block: `rows` digit spectra d_{b,r} at + r*2m (re plane, im
+  /// at +m), then the four accumulator planes [a.re | a.im | b.re | b.im],
+  /// then the two planes of the rotation factor f_b = X^{-c_b} - 1
+  /// (rot_factor). The kernel walks the samples in blocks of the ISA's
+  /// simd policy kSampleBlock and loads each key row once per slot step for
+  /// the whole block, so one pass over the subset's key block serves every
+  /// sample of the block. Per sample the subset sum associates row by row
+  /// (first row set, not added to zero) and is then rotated into the
+  /// accumulator, whatever the block size. Blocks must not alias each other
+  /// or the key.
+  void (*bundle_mac)(int m, int rows, const double* key, int count,
+                     double* const* samples);
   /// Signed gadget decomposition of an N-coefficient torus polynomial into l
   /// digit polynomials (math/decompose.h semantics; offset is
   /// GadgetParams::rounding_offset()). digits[j] points at digit j's

@@ -57,8 +57,8 @@ void rot_scale_add_avx2(const NegacyclicPlan& plan, double* dr, double* di,
 }
 
 /// Rotation-factor materialization for the fused bundle path: the gathers of
-/// rot_scale_add, run once per active key subset; the mac2 hot loop then
-/// touches only contiguous streams.
+/// rot_scale_add, run once per sample and active key subset; the bundle_mac
+/// hot loop then touches only contiguous streams.
 void rot_factor_avx2(const NegacyclicPlan& plan, double* fr, double* fi,
                      int64_t c) {
   const int64_t two_n = 2 * static_cast<int64_t>(plan.n);
@@ -159,8 +159,7 @@ const SpectralKernels kAvx2Kernels = {
     &detail::PlanarKernels<simd::Avx2>::add_assign,
     &detail::PlanarKernels<simd::Avx2>::scale_add,
     &rot_factor_avx2,
-    &detail::PlanarKernels<simd::Avx2>::mac2,
-    &detail::PlanarKernels<simd::Avx2>::mac2_rows,
+    &detail::PlanarKernels<simd::Avx2>::bundle_mac,
     &decompose_avx2,
     &detail::u32_sub<simd::Avx2>,
     &detail::ks_digits<simd::Avx2>,

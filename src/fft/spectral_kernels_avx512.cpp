@@ -55,8 +55,8 @@ void rot_scale_add_avx512(const NegacyclicPlan& plan, double* dr, double* di,
 }
 
 /// Rotation-factor materialization for the fused bundle path, 8 slots per
-/// iteration: run once per active key subset, so the vgatherdpd table loads
-/// never appear in the mac2 hot loop.
+/// iteration: run once per sample and active key subset, so the vgatherdpd
+/// table loads never appear in the bundle_mac hot loop.
 void rot_factor_avx512(const NegacyclicPlan& plan, double* fr, double* fi,
                        int64_t c) {
   const int64_t two_n = 2 * static_cast<int64_t>(plan.n);
@@ -158,8 +158,7 @@ const SpectralKernels kAvx512Kernels = {
     &detail::PlanarKernels<simd::Avx512>::add_assign,
     &detail::PlanarKernels<simd::Avx512>::scale_add,
     &rot_factor_avx512,
-    &detail::PlanarKernels<simd::Avx512>::mac2,
-    &detail::PlanarKernels<simd::Avx512>::mac2_rows,
+    &detail::PlanarKernels<simd::Avx512>::bundle_mac,
     &decompose_avx512,
     &detail::u32_sub<simd::Avx512>,
     &detail::ks_digits<simd::Avx512>,

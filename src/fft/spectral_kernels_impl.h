@@ -1,11 +1,13 @@
 // Generic planar-kernel bodies, templated over a fft/simd.h policy.
 //
 // Included by the per-ISA translation units only
-// (spectral_kernels_{scalar,avx2,neon}.cpp); never include this from
+// (spectral_kernels{,_avx2,_avx512,_neon}.cpp); never include this from
 // headers. Each elementwise loop runs a full-width vector body followed by a
-// simd::Scalar tail -- the late radix-4 stages have quarters (q = 1 or 2)
-// narrower than the AVX2 width, and the tail reuses the exact same
-// butterfly template at W = 1.
+// simd::Scalar tail. The late radix-4 stages have quarters narrower than a
+// vector: q = 2 (every N = 2*4^t ring, e.g. N = 256 and 1024) runs on full
+// vectors through the policy's quarter transpose (radix4_stage_q2); q = 1
+// and q = 4 under AVX-512 (N = 4^t rings) keep the tail, which reuses the
+// exact same butterfly core at W = 1.
 //
 // Index-heavy kernels that need integer lanes (rot_scale_add's table
 // gathers, decompose's shift/mask pipeline) get portable scalar bodies here;
@@ -19,47 +21,100 @@
 
 namespace matcha::detail {
 
-/// Radix-4 DIF butterfly (forward, sign +1) at slot `base + j`, twiddles
-/// from `st`. In-place on re/im.
+// The butterfly and bundle-MAC step helpers below are forced inline: they
+// run once per vector step inside the stage and slot loops, and the
+// compiler's size heuristics otherwise outline the larger instantiations,
+// turning each step into a call that spills every live vector.
+
+/// Radix-4 DIF butterfly on register values (forward, sign +1): x[0..3]
+/// in, the four outputs back in x, outputs 1..3 multiplied by the stage
+/// twiddles w[0..2]. Every forward stage, narrow or wide, runs this body.
 template <class P>
-inline void dif_butterfly(const PlanStage& st, double* __restrict re,
+[[gnu::always_inline]] inline void dif_core(typename P::vd xr[4], typename P::vd xi[4],
+                     const typename P::vd wr[3], const typename P::vd wi[3]) {
+  using v = typename P::vd;
+  const v t0r = P::add(xr[0], xr[2]), t0i = P::add(xi[0], xi[2]);
+  const v t1r = P::sub(xr[0], xr[2]), t1i = P::sub(xi[0], xi[2]);
+  const v t2r = P::add(xr[1], xr[3]), t2i = P::add(xi[1], xi[3]);
+  const v t3r = P::sub(xr[1], xr[3]), t3i = P::sub(xi[1], xi[3]);
+
+  const v br[3] = {P::sub(t1r, t3i), P::sub(t0r, t2r),  // t1 + i*t3, t0 - t2
+                   P::add(t1r, t3i)};                   // t1 - i*t3
+  const v bi[3] = {P::add(t1i, t3r), P::sub(t0i, t2i), P::sub(t1i, t3r)};
+  xr[0] = P::add(t0r, t2r);
+  xi[0] = P::add(t0i, t2i);
+#pragma GCC unroll 4
+  for (int r = 0; r < 3; ++r) {
+    xr[r + 1] = P::fmsub(br[r], wr[r], P::mul(bi[r], wi[r]));
+    xi[r + 1] = P::fmadd(br[r], wi[r], P::mul(bi[r], wr[r]));
+  }
+}
+
+/// Radix-4 DIT butterfly on register values (inverse, sign -1; the stage
+/// holds conjugated twiddles): inputs 1..3 are twiddled first, the four
+/// outputs come back in x.
+template <class P>
+[[gnu::always_inline]] inline void dit_core(typename P::vd xr[4], typename P::vd xi[4],
+                     const typename P::vd wr[3], const typename P::vd wi[3]) {
+  using v = typename P::vd;
+  v ar[4], ai[4];
+  ar[0] = xr[0];
+  ai[0] = xi[0];
+#pragma GCC unroll 4
+  for (int r = 1; r < 4; ++r) {
+    ar[r] = P::fmsub(xr[r], wr[r - 1], P::mul(xi[r], wi[r - 1]));
+    ai[r] = P::fmadd(xr[r], wi[r - 1], P::mul(xi[r], wr[r - 1]));
+  }
+  const v s0r = P::add(ar[0], ar[2]), s0i = P::add(ai[0], ai[2]);
+  const v s1r = P::sub(ar[0], ar[2]), s1i = P::sub(ai[0], ai[2]);
+  const v s2r = P::add(ar[1], ar[3]), s2i = P::add(ai[1], ai[3]);
+  const v s3r = P::sub(ar[1], ar[3]), s3i = P::sub(ai[1], ai[3]);
+  xr[0] = P::add(s0r, s2r);
+  xi[0] = P::add(s0i, s2i);
+  xr[1] = P::add(s1r, s3i); // s1 - i*s3
+  xi[1] = P::sub(s1i, s3r);
+  xr[2] = P::sub(s0r, s2r);
+  xi[2] = P::sub(s0i, s2i);
+  xr[3] = P::sub(s1r, s3i); // s1 + i*s3
+  xi[3] = P::add(s1i, s3r);
+}
+
+/// The stage's three twiddle pairs at quarter offset j.
+template <class P>
+[[gnu::always_inline]] inline void load_twiddles(const PlanStage& st, int j, typename P::vd wr[3],
+                          typename P::vd wi[3]) {
+  wr[0] = P::load(st.w1r() + j), wi[0] = P::load(st.w1i() + j);
+  wr[1] = P::load(st.w2r() + j), wi[1] = P::load(st.w2i() + j);
+  wr[2] = P::load(st.w3r() + j), wi[2] = P::load(st.w3i() + j);
+}
+
+/// Radix-4 DIF butterfly (forward) at slot `base + j`, in place on re/im.
+template <class P>
+[[gnu::always_inline]] inline void dif_butterfly(const PlanStage& st, double* __restrict re,
                           double* __restrict im, int base, int j) {
   using v = typename P::vd;
   const int q = st.q;
   double* r0 = re + base + j;
   double* i0 = im + base + j;
-  const v ar = P::load(r0), ai = P::load(i0);
-  const v br = P::load(r0 + q), bi = P::load(i0 + q);
-  const v cr = P::load(r0 + 2 * q), ci = P::load(i0 + 2 * q);
-  const v dr = P::load(r0 + 3 * q), di = P::load(i0 + 3 * q);
-
-  const v t0r = P::add(ar, cr), t0i = P::add(ai, ci);
-  const v t1r = P::sub(ar, cr), t1i = P::sub(ai, ci);
-  const v t2r = P::add(br, dr), t2i = P::add(bi, di);
-  const v t3r = P::sub(br, dr), t3i = P::sub(bi, di);
-
-  P::store(r0, P::add(t0r, t2r));
-  P::store(i0, P::add(t0i, t2i));
-
-  const v b1r = P::sub(t1r, t3i), b1i = P::add(t1i, t3r); // t1 + i*t3
-  const v b2r = P::sub(t0r, t2r), b2i = P::sub(t0i, t2i);
-  const v b3r = P::add(t1r, t3i), b3i = P::sub(t1i, t3r); // t1 - i*t3
-
-  const v w1r = P::load(st.w1r() + j), w1i = P::load(st.w1i() + j);
-  const v w2r = P::load(st.w2r() + j), w2i = P::load(st.w2i() + j);
-  const v w3r = P::load(st.w3r() + j), w3i = P::load(st.w3i() + j);
-  P::store(r0 + q, P::fmsub(b1r, w1r, P::mul(b1i, w1i)));
-  P::store(i0 + q, P::fmadd(b1r, w1i, P::mul(b1i, w1r)));
-  P::store(r0 + 2 * q, P::fmsub(b2r, w2r, P::mul(b2i, w2i)));
-  P::store(i0 + 2 * q, P::fmadd(b2r, w2i, P::mul(b2i, w2r)));
-  P::store(r0 + 3 * q, P::fmsub(b3r, w3r, P::mul(b3i, w3i)));
-  P::store(i0 + 3 * q, P::fmadd(b3r, w3i, P::mul(b3i, w3r)));
+  v xr[4], xi[4], wr[3], wi[3];
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    xr[r] = P::load(r0 + r * q);
+    xi[r] = P::load(i0 + r * q);
+  }
+  load_twiddles<P>(st, j, wr, wi);
+  dif_core<P>(xr, xi, wr, wi);
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    P::store(r0 + r * q, xr[r]);
+    P::store(i0 + r * q, xi[r]);
+  }
 }
 
 /// First forward stage (size m): the negacyclic twist is fused into the
 /// input loads, z[t] = (in[t] + i*in[t+m]) * twist[t].
 template <class P>
-inline void dif_butterfly_twist(const NegacyclicPlan& plan,
+[[gnu::always_inline]] inline void dif_butterfly_twist(const NegacyclicPlan& plan,
                                 const PlanStage& st,
                                 const int32_t* __restrict in,
                                 double* __restrict re, double* __restrict im,
@@ -67,7 +122,8 @@ inline void dif_butterfly_twist(const NegacyclicPlan& plan,
   using v = typename P::vd;
   const int q = st.q;
   const int m = plan.m;
-  v xr[4], xi[4];
+  v xr[4], xi[4], wr[3], wi[3];
+#pragma GCC unroll 4
   for (int r = 0; r < 4; ++r) {
     const int t = j + r * q;
     const v lo = P::load_i32(in + t);
@@ -77,77 +133,43 @@ inline void dif_butterfly_twist(const NegacyclicPlan& plan,
     xr[r] = P::fmsub(lo, twr, P::mul(hi, twi));
     xi[r] = P::fmadd(lo, twi, P::mul(hi, twr));
   }
-  const v t0r = P::add(xr[0], xr[2]), t0i = P::add(xi[0], xi[2]);
-  const v t1r = P::sub(xr[0], xr[2]), t1i = P::sub(xi[0], xi[2]);
-  const v t2r = P::add(xr[1], xr[3]), t2i = P::add(xi[1], xi[3]);
-  const v t3r = P::sub(xr[1], xr[3]), t3i = P::sub(xi[1], xi[3]);
-
-  P::store(re + j, P::add(t0r, t2r));
-  P::store(im + j, P::add(t0i, t2i));
-
-  const v b1r = P::sub(t1r, t3i), b1i = P::add(t1i, t3r);
-  const v b2r = P::sub(t0r, t2r), b2i = P::sub(t0i, t2i);
-  const v b3r = P::add(t1r, t3i), b3i = P::sub(t1i, t3r);
-
-  const v w1r = P::load(st.w1r() + j), w1i = P::load(st.w1i() + j);
-  const v w2r = P::load(st.w2r() + j), w2i = P::load(st.w2i() + j);
-  const v w3r = P::load(st.w3r() + j), w3i = P::load(st.w3i() + j);
-  P::store(re + j + q, P::fmsub(b1r, w1r, P::mul(b1i, w1i)));
-  P::store(im + j + q, P::fmadd(b1r, w1i, P::mul(b1i, w1r)));
-  P::store(re + j + 2 * q, P::fmsub(b2r, w2r, P::mul(b2i, w2i)));
-  P::store(im + j + 2 * q, P::fmadd(b2r, w2i, P::mul(b2i, w2r)));
-  P::store(re + j + 3 * q, P::fmsub(b3r, w3r, P::mul(b3i, w3i)));
-  P::store(im + j + 3 * q, P::fmadd(b3r, w3i, P::mul(b3i, w3r)));
+  load_twiddles<P>(st, j, wr, wi);
+  dif_core<P>(xr, xi, wr, wi);
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    P::store(re + j + r * q, xr[r]);
+    P::store(im + j + r * q, xi[r]);
+  }
 }
 
-/// Radix-4 DIT butterfly (inverse, sign -1; `st` holds conjugated twiddles).
-/// Reads inr/ini, writes outr/outi at the same slots (pointers may be equal
-/// for the in-place middle stages).
+/// Radix-4 DIT butterfly (inverse). Reads inr/ini, writes outr/outi at the
+/// same slots (pointers may be equal for the in-place middle stages).
 template <class P>
-inline void dit_butterfly(const PlanStage& st, const double* inr,
+[[gnu::always_inline]] inline void dit_butterfly(const PlanStage& st, const double* inr,
                           const double* ini, double* outr, double* outi,
                           int base, int j) {
   using v = typename P::vd;
   const int q = st.q;
-  const double* r0 = inr + base + j;
-  const double* i0 = ini + base + j;
-  const v a0r = P::load(r0), a0i = P::load(i0);
-
-  const v w1r = P::load(st.w1r() + j), w1i = P::load(st.w1i() + j);
-  const v w2r = P::load(st.w2r() + j), w2i = P::load(st.w2i() + j);
-  const v w3r = P::load(st.w3r() + j), w3i = P::load(st.w3i() + j);
-  const v x1r = P::load(r0 + q), x1i = P::load(i0 + q);
-  const v x2r = P::load(r0 + 2 * q), x2i = P::load(i0 + 2 * q);
-  const v x3r = P::load(r0 + 3 * q), x3i = P::load(i0 + 3 * q);
-  const v a1r = P::fmsub(x1r, w1r, P::mul(x1i, w1i));
-  const v a1i = P::fmadd(x1r, w1i, P::mul(x1i, w1r));
-  const v a2r = P::fmsub(x2r, w2r, P::mul(x2i, w2i));
-  const v a2i = P::fmadd(x2r, w2i, P::mul(x2i, w2r));
-  const v a3r = P::fmsub(x3r, w3r, P::mul(x3i, w3i));
-  const v a3i = P::fmadd(x3r, w3i, P::mul(x3i, w3r));
-
-  const v s0r = P::add(a0r, a2r), s0i = P::add(a0i, a2i);
-  const v s1r = P::sub(a0r, a2r), s1i = P::sub(a0i, a2i);
-  const v s2r = P::add(a1r, a3r), s2i = P::add(a1i, a3i);
-  const v s3r = P::sub(a1r, a3r), s3i = P::sub(a1i, a3i);
-
-  double* o0 = outr + base + j;
-  double* oi0 = outi + base + j;
-  P::store(o0, P::add(s0r, s2r));
-  P::store(oi0, P::add(s0i, s2i));
-  P::store(o0 + q, P::add(s1r, s3i));      // s1 - i*s3
-  P::store(oi0 + q, P::sub(s1i, s3r));
-  P::store(o0 + 2 * q, P::sub(s0r, s2r));
-  P::store(oi0 + 2 * q, P::sub(s0i, s2i));
-  P::store(o0 + 3 * q, P::sub(s1r, s3i));  // s1 + i*s3
-  P::store(oi0 + 3 * q, P::add(s1i, s3r));
+  v xr[4], xi[4], wr[3], wi[3];
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    xr[r] = P::load(inr + base + j + r * q);
+    xi[r] = P::load(ini + base + j + r * q);
+  }
+  load_twiddles<P>(st, j, wr, wi);
+  dit_core<P>(xr, xi, wr, wi);
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    P::store(outr + base + j + r * q, xr[r]);
+    P::store(outi + base + j + r * q, xi[r]);
+  }
 }
 
 /// Last inverse stage (size m): the four outputs are untwisted, scaled by
 /// 1/m (folded into plan.itwist), rounded half-away-from-zero, and stored as
 /// wrapped Torus32 coefficients out[t] (real) / out[t+m] (imag).
 template <class P>
-inline void dit_last_butterfly(const NegacyclicPlan& plan,
+[[gnu::always_inline]] inline void dit_last_butterfly(const NegacyclicPlan& plan,
                                const PlanStage& st,
                                const double* __restrict inr,
                                const double* __restrict ini,
@@ -155,38 +177,149 @@ inline void dit_last_butterfly(const NegacyclicPlan& plan,
   using v = typename P::vd;
   const int q = st.q;
   const int m = plan.m;
-  const v a0r = P::load(inr + j), a0i = P::load(ini + j);
-
-  const v w1r = P::load(st.w1r() + j), w1i = P::load(st.w1i() + j);
-  const v w2r = P::load(st.w2r() + j), w2i = P::load(st.w2i() + j);
-  const v w3r = P::load(st.w3r() + j), w3i = P::load(st.w3i() + j);
-  const v x1r = P::load(inr + j + q), x1i = P::load(ini + j + q);
-  const v x2r = P::load(inr + j + 2 * q), x2i = P::load(ini + j + 2 * q);
-  const v x3r = P::load(inr + j + 3 * q), x3i = P::load(ini + j + 3 * q);
-  const v a1r = P::fmsub(x1r, w1r, P::mul(x1i, w1i));
-  const v a1i = P::fmadd(x1r, w1i, P::mul(x1i, w1r));
-  const v a2r = P::fmsub(x2r, w2r, P::mul(x2i, w2i));
-  const v a2i = P::fmadd(x2r, w2i, P::mul(x2i, w2r));
-  const v a3r = P::fmsub(x3r, w3r, P::mul(x3i, w3i));
-  const v a3i = P::fmadd(x3r, w3i, P::mul(x3i, w3r));
-
-  const v s0r = P::add(a0r, a2r), s0i = P::add(a0i, a2i);
-  const v s1r = P::sub(a0r, a2r), s1i = P::sub(a0i, a2i);
-  const v s2r = P::add(a1r, a3r), s2i = P::add(a1i, a3i);
-  const v s3r = P::sub(a1r, a3r), s3i = P::sub(a1i, a3i);
-
-  const v pr[4] = {P::add(s0r, s2r), P::add(s1r, s3i), P::sub(s0r, s2r),
-                   P::sub(s1r, s3i)};
-  const v pi[4] = {P::add(s0i, s2i), P::sub(s1i, s3r), P::sub(s0i, s2i),
-                   P::add(s1i, s3r)};
+  v xr[4], xi[4], wr[3], wi[3];
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    xr[r] = P::load(inr + j + r * q);
+    xi[r] = P::load(ini + j + r * q);
+  }
+  load_twiddles<P>(st, j, wr, wi);
+  dit_core<P>(xr, xi, wr, wi);
+#pragma GCC unroll 4
   for (int r = 0; r < 4; ++r) {
     const int t = j + r * q;
     const v twr = P::load(plan.itwist_re.data() + t);
     const v twi = P::load(plan.itwist_im.data() + t);
-    const v outr = P::fmsub(pr[r], twr, P::mul(pi[r], twi));
-    const v outi = P::fmadd(pr[r], twi, P::mul(pi[r], twr));
+    const v outr = P::fmsub(xr[r], twr, P::mul(xi[r], twi));
+    const v outi = P::fmadd(xr[r], twi, P::mul(xi[r], twr));
     P::store_torus(out + t, P::round_away(outr));
     P::store_torus(out + t + m, P::round_away(outi));
+  }
+}
+
+/// Policies wider than two lanes provide the q = 2 quarter transpose
+/// (load_q2/store_q2/bcast_q2, fft/simd.h): the narrow stage then runs on
+/// full vectors instead of the simd::Scalar tail.
+template <class P>
+concept HasQ2Transpose =
+    requires(const double* p, double* o, typename P::vd* x) {
+      P::load_q2(p, x);
+      P::store_q2(o, x);
+      P::bcast_q2(p);
+    };
+
+/// A q = 2 radix-4 stage (butterfly span 8) over all m slots, for policies
+/// with W > 2. Each iteration transposes 4W contiguous slots -- W/2 whole
+/// butterfly blocks -- so vector x[r] holds quarter r of every block, runs
+/// the shared butterfly core lane-wise with the twiddle pair broadcast, and
+/// transposes back. kInverse selects the DIT core; in/out may be equal.
+/// Blocks past the last full vector group (m < 4W) take the scalar tail.
+template <class P, bool kInverse>
+void radix4_stage_q2(const PlanStage& st, const double* inr, const double* ini,
+                     double* outr, double* outi, int m) {
+  using v = typename P::vd;
+  const v wr[3] = {P::bcast_q2(st.w1r()), P::bcast_q2(st.w2r()),
+                   P::bcast_q2(st.w3r())};
+  const v wi[3] = {P::bcast_q2(st.w1i()), P::bcast_q2(st.w2i()),
+                   P::bcast_q2(st.w3i())};
+  int base = 0;
+  for (; base + 4 * P::W <= m; base += 4 * P::W) {
+    v xr[4], xi[4];
+    P::load_q2(inr + base, xr);
+    P::load_q2(ini + base, xi);
+    if constexpr (kInverse) {
+      dit_core<P>(xr, xi, wr, wi);
+    } else {
+      dif_core<P>(xr, xi, wr, wi);
+    }
+    P::store_q2(outr + base, xr);
+    P::store_q2(outi + base, xi);
+  }
+  for (; base < m; base += st.size) {
+    for (int k = 0; k < st.q; ++k) {
+      if constexpr (kInverse) {
+        dit_butterfly<simd::Scalar>(st, inr, ini, outr, outi, base, k);
+      } else {
+        dif_butterfly<simd::Scalar>(st, outr, outi, base, k);
+      }
+    }
+  }
+}
+
+/// Per-sample subset sums of bundle_mac: column 0 and 1, re and im.
+template <class P>
+struct SubsetSums {
+  typename P::vd r0, i0, r1, i1;
+};
+
+/// One key row of bundle_mac_slots: the row's four planes at kb are loaded
+/// once and multiplied into every sample's digit spectrum at s[b] + off;
+/// kFirst sets the subset sums u, later rows add to them.
+template <class P, int K, bool kFirst>
+[[gnu::always_inline]] inline void bundle_mac_row(const double* __restrict kb,
+                                                  double* const* s, size_t off,
+                                                  size_t m, SubsetSums<P>* u) {
+  using v = typename P::vd;
+  const v c0r = P::load(kb), c0i = P::load(kb + m);
+  const v c1r = P::load(kb + 2 * m), c1i = P::load(kb + 3 * m);
+#pragma GCC unroll 8
+  for (int b = 0; b < K; ++b) {
+    const double* x = s[b] + off;
+    const v xr = P::load(x), xi = P::load(x + m);
+    const v p0r = P::fmsub(xr, c0r, P::mul(xi, c0i));
+    const v p0i = P::fmadd(xr, c0i, P::mul(xi, c0r));
+    const v p1r = P::fmsub(xr, c1r, P::mul(xi, c1i));
+    const v p1i = P::fmadd(xr, c1i, P::mul(xi, c1r));
+    if constexpr (kFirst) {
+      u[b] = {p0r, p0i, p1r, p1i};
+    } else {
+      u[b].r0 = P::add(u[b].r0, p0r);
+      u[b].i0 = P::add(u[b].i0, p0i);
+      u[b].r1 = P::add(u[b].r1, p1r);
+      u[b].i1 = P::add(u[b].i1, p1i);
+    }
+  }
+}
+
+/// One P::W-slot step of the fused bundle-MAC (SpectralKernels::bundle_mac)
+/// at slot k for a block of K samples s[0..K). Each key row is loaded once
+/// for the whole block; the per-sample subset sums u = sum_r d_r (*) BK_r
+/// (first row set, the rest added in row order) stay in registers, and the
+/// rotation factor then adds f (*) u into the sample's accumulator planes.
+/// A sample's arithmetic never depends on K or on its place in the block.
+/// The row loop stays rolled: fully unrolled, GCC hoists every row's
+/// products ahead of the sums and spills them (seen at K = 4 on AVX-512,
+/// 56 spill slots in the hot loop), while the rolled loop carries the 4K
+/// sums in registers.
+template <class P, int M, int NR, int K>
+[[gnu::always_inline]] inline void bundle_mac_slots(
+    int m_rt, int rows_rt, const double* __restrict key, double* const* s,
+    int k) {
+  using v = typename P::vd;
+  const size_t m = static_cast<size_t>(M > 0 ? M : m_rt);
+  const int rows = NR > 0 ? NR : rows_rt;
+  const size_t kk = static_cast<size_t>(k);
+  SubsetSums<P> u[K];
+  bundle_mac_row<P, K, true>(key + kk, s, kk, m, u);
+#pragma GCC unroll 1
+  for (int r = 1; r < rows; ++r) {
+    bundle_mac_row<P, K, false>(key + static_cast<size_t>(r) * 4 * m + kk, s,
+                                static_cast<size_t>(r) * 2 * m + kk, m, u);
+  }
+#pragma GCC unroll 8
+  for (int b = 0; b < K; ++b) {
+    double* acc = s[b] + static_cast<size_t>(rows) * 2 * m + kk;
+    const double* f = acc + 4 * m; // rotation factor planes follow the acc
+    const v fr = P::load(f), fi = P::load(f + m);
+    const v sums[4] = {u[b].r0, u[b].i0, u[b].r1, u[b].i1};
+#pragma GCC unroll 2
+    for (int c = 0; c < 2; ++c) { // column c: acc planes 2c (re), 2c+1 (im)
+      const v ur = sums[2 * c], ui = sums[2 * c + 1];
+      double* ar = acc + 2 * c * m;
+      double* ai = ar + m;
+      P::store(ar, P::add(P::load(ar), P::fmsub(fr, ur, P::mul(fi, ui))));
+      P::store(ai, P::add(P::load(ai), P::fmadd(fr, ui, P::mul(fi, ur))));
+    }
   }
 }
 
@@ -212,6 +345,12 @@ struct PlanarKernels {
     }
     for (size_t s = 1; s < plan.fwd.size(); ++s) {
       const PlanStage& st = plan.fwd[s];
+      if constexpr (HasQ2Transpose<V>) {
+        if (st.q == 2) {
+          radix4_stage_q2<V, false>(st, re, im, re, im, m);
+          continue;
+        }
+      }
       for (int base = 0; base < m; base += st.size) {
         int k = 0;
 #pragma GCC ivdep
@@ -239,6 +378,14 @@ struct PlanarKernels {
     }
     for (size_t s = 0; s + 1 < plan.inv.size(); ++s) {
       const PlanStage& st = plan.inv[s];
+      if constexpr (HasQ2Transpose<V>) {
+        if (st.q == 2) {
+          radix4_stage_q2<V, true>(st, cr, ci, wre, wim, m);
+          cr = wre;
+          ci = wim;
+          continue;
+        }
+      }
       for (int base = 0; base < m; base += st.size) {
         int k = 0;
         // Same disjoint-slot argument as forward (dit_butterfly keeps plain
@@ -311,166 +458,78 @@ struct PlanarKernels {
     }
   }
 
-  /// Fused bundle-MAC hot loop: the shared left operand s is loaded once per
-  /// slot and multiply-accumulated against both column streams. Ten
-  /// contiguous streams, zero gathers. The streams are distinct
-  /// workspace/key planes by contract; __restrict states that, because with
-  /// ten pointers the compiler's runtime alias-versioning budget overflows
-  /// and the scalar instantiation would otherwise never auto-vectorize.
-  static void mac2(int m, const double* __restrict sr,
-                   const double* __restrict si, const double* __restrict b0r,
-                   const double* __restrict b0i, const double* __restrict b1r,
-                   const double* __restrict b1i, double* __restrict a0r,
-                   double* __restrict a0i, double* __restrict a1r,
-                   double* __restrict a1i) {
-    using v = typename V::vd;
-    int k = 0;
-    for (; k + V::W <= m; k += V::W) {
-      const v xr = V::load(sr + k), xi = V::load(si + k);
-      const v c0r = V::load(b0r + k), c0i = V::load(b0i + k);
-      const v r0 = V::fmsub(xr, c0r, V::mul(xi, c0i));
-      const v i0 = V::fmadd(xr, c0i, V::mul(xi, c0r));
-      V::store(a0r + k, V::add(V::load(a0r + k), r0));
-      V::store(a0i + k, V::add(V::load(a0i + k), i0));
-      const v c1r = V::load(b1r + k), c1i = V::load(b1i + k);
-      const v r1 = V::fmsub(xr, c1r, V::mul(xi, c1i));
-      const v i1 = V::fmadd(xr, c1i, V::mul(xi, c1r));
-      V::store(a1r + k, V::add(V::load(a1r + k), r1));
-      V::store(a1i + k, V::add(V::load(a1i + k), i1));
-    }
-    for (; k < m; ++k) {
-      a0r[k] += sr[k] * b0r[k] - si[k] * b0i[k];
-      a0i[k] += sr[k] * b0i[k] + si[k] * b0r[k];
-      a1r[k] += sr[k] * b1r[k] - si[k] * b1i[k];
-      a1i[k] += sr[k] * b1i[k] + si[k] * b1r[k];
-    }
-  }
-
-  /// mac2_rows body for a compile-time chunk of RC <= 3 rows: the row loop
-  /// fully unrolls, so the k-loop body is straight-line -- the scalar policy
-  /// then auto-vectorizes it like any other planar kernel, and the wide
-  /// policies get a branch-free schedule the out-of-order core overlaps
-  /// across k iterations (a runtime-trip inner row loop defeats both). RC is
-  /// capped at 3 because each row pins two base pointers (spec row + key
-  /// row); with the four output pointers, larger chunks exceed the x86-64
-  /// GP register file and the compiler reloads every address from the stack
-  /// inside the hot loop. ACC selects set (first chunk) vs accumulate
-  /// (subsequent chunks) semantics; the accumulate form loads the prior sum
-  /// first, so the per-slot addition order across chunks matches one long
-  /// row chain exactly.
-  template <int M, int RC, bool ACC>
-  static void mac2_rows_block(int m_rt, const double* __restrict spec,
-                              const double* __restrict key,
-                              double* __restrict a0r, double* __restrict a0i,
-                              double* __restrict a1r, double* __restrict a1i) {
-    static_assert(RC >= 1 && RC <= 3, "chunk size bounded by GP registers");
-    // M > 0 pins the spectral size at compile time (the dispatcher covers
-    // the common ring sizes): every intra-row plane offset then becomes a
-    // constant displacement off the row's ONE base register instead of a
-    // separately-materialized pointer per plane -- 18 live pointers drop to
-    // 10 and the compiler stops reloading addresses from the stack in the
-    // hot loop. M == 0 is the any-size fallback with runtime offsets.
+  /// bundle_mac over one block of K samples (K <= V::kSampleBlock, fixed at
+  /// compile time so the 4K subset sums stay in vector registers). M > 0
+  /// pins the spectral size, so every plane and row offset is a constant
+  /// displacement or stride off one base register per sample plus one for
+  /// the key; NR > 0 pins the row count, without which the scalar tier's
+  /// auto-vectorized loop runs about 2x slower. 0 takes the runtime value.
+  template <int M, int NR, int K>
+  static void bundle_mac_block(int m_rt, int rows, const double* key,
+                               double* const* samples) {
     const int m = M > 0 ? M : m_rt;
-    using v = typename V::vd;
-    const size_t ss = 2 * static_cast<size_t>(m); // spec row stride
-    const size_t ks = 4 * static_cast<size_t>(m); // key row stride
+    double* s[K];
+#pragma GCC unroll 8
+    for (int b = 0; b < K; ++b) s[b] = samples[b];
     int k = 0;
+    // Iterations touch disjoint slots k of every stream (the samples' blocks
+    // and the key are distinct buffers by contract), as in the FFT loops.
+#pragma GCC ivdep
     for (; k + V::W <= m; k += V::W) {
-      v A0r, A0i, A1r, A1i;
-      if (ACC) {
-        A0r = V::load(a0r + k);
-        A0i = V::load(a0i + k);
-        A1r = V::load(a1r + k);
-        A1i = V::load(a1i + k);
-      }
-#pragma GCC unroll 3
-      for (int r = 0; r < RC; ++r) {
-        const double* s = spec + static_cast<size_t>(r) * ss + k;
-        const double* kb = key + static_cast<size_t>(r) * ks + k;
-        const v xr = V::load(s), xi = V::load(s + m);
-        const v c0r = V::load(kb), c0i = V::load(kb + m);
-        const v c1r = V::load(kb + 2 * m), c1i = V::load(kb + 3 * m);
-        const v r0v = V::fmsub(xr, c0r, V::mul(xi, c0i));
-        const v i0v = V::fmadd(xr, c0i, V::mul(xi, c0r));
-        const v r1v = V::fmsub(xr, c1r, V::mul(xi, c1i));
-        const v i1v = V::fmadd(xr, c1i, V::mul(xi, c1r));
-        A0r = (!ACC && r == 0) ? r0v : V::add(A0r, r0v);
-        A0i = (!ACC && r == 0) ? i0v : V::add(A0i, i0v);
-        A1r = (!ACC && r == 0) ? r1v : V::add(A1r, r1v);
-        A1i = (!ACC && r == 0) ? i1v : V::add(A1i, i1v);
-      }
-      V::store(a0r + k, A0r);
-      V::store(a0i + k, A0i);
-      V::store(a1r + k, A1r);
-      V::store(a1i + k, A1i);
+      bundle_mac_slots<V, M, NR, K>(m_rt, rows, key, s, k);
     }
     for (; k < m; ++k) {
-      double x0r = ACC ? a0r[k] : 0.0, x0i = ACC ? a0i[k] : 0.0;
-      double x1r = ACC ? a1r[k] : 0.0, x1i = ACC ? a1i[k] : 0.0;
-      for (int r = 0; r < RC; ++r) {
-        const double* s = spec + static_cast<size_t>(r) * ss + k;
-        const double* kb = key + static_cast<size_t>(r) * ks + k;
-        x0r += s[0] * kb[0] - s[m] * kb[m];
-        x0i += s[0] * kb[m] + s[m] * kb[0];
-        x1r += s[0] * kb[2 * m] - s[m] * kb[3 * m];
-        x1i += s[0] * kb[3 * m] + s[m] * kb[2 * m];
-      }
-      a0r[k] = x0r;
-      a0i[k] = x0i;
-      a1r[k] = x1r;
-      a1i[k] = x1i;
+      bundle_mac_slots<simd::Scalar, M, NR, K>(m_rt, rows, key, s, k);
     }
   }
 
-  template <int M, bool ACC>
-  static void mac2_rows_chunk(int m, int rc, const double* spec,
-                              const double* key, double* a0r, double* a0i,
-                              double* a1r, double* a1i) {
-    switch (rc) {
-      case 3:
-        return mac2_rows_block<M, 3, ACC>(m, spec, key, a0r, a0i, a1r, a1i);
-      case 2:
-        return mac2_rows_block<M, 2, ACC>(m, spec, key, a0r, a0i, a1r, a1i);
-      default:
-        return mac2_rows_block<M, 1, ACC>(m, spec, key, a0r, a0i, a1r, a1i);
+  /// The last count % kSampleBlock samples, as one block of that size.
+  template <int M, int NR, int K>
+  static void bundle_mac_rest(int m, int rows, const double* key, int rest,
+                              double* const* samples) {
+    if constexpr (K > 0) {
+      if (rest == K) return bundle_mac_block<M, NR, K>(m, rows, key, samples);
+      bundle_mac_rest<M, NR, K - 1>(m, rows, key, rest, samples);
     }
+  }
+
+  template <int M, int NR>
+  static void bundle_mac_mr(int m, int rows, const double* key, int count,
+                            double* const* samples) {
+    constexpr int kBlock = V::kSampleBlock;
+    int b = 0;
+    for (; b + kBlock <= count; b += kBlock) {
+      bundle_mac_block<M, NR, kBlock>(m, rows, key, samples + b);
+    }
+    bundle_mac_rest<M, NR, kBlock - 1>(m, rows, key, count - b, samples + b);
   }
 
   template <int M>
-  static void mac2_rows_m(int m, int r0, int rows, const double* spec,
-                          const double* key, double* a0r, double* a0i,
-                          double* a1r, double* a1i) {
-    const double* s = spec + static_cast<size_t>(r0) * 2 * m;
-    const double* kb = key + static_cast<size_t>(r0) * 4 * m;
-    int left = rows - r0;
-    int prev = left > 3 ? 3 : left;
-    mac2_rows_chunk<M, false>(m, prev, s, kb, a0r, a0i, a1r, a1i);
-    left -= prev;
-    while (left > 0) {
-      s += static_cast<size_t>(prev) * 2 * m; // advance past the prior chunk
-      kb += static_cast<size_t>(prev) * 4 * m;
-      const int rc = left > 3 ? 3 : left;
-      mac2_rows_chunk<M, true>(m, rc, s, kb, a0r, a0i, a1r, a1i);
-      left -= rc;
-      prev = rc;
+  static void bundle_mac_m(int m, int rows, const double* key, int count,
+                           double* const* samples) {
+    switch (rows) { // 2l and l (pristine samples) at the shipped l = 3
+      case 6:
+        return bundle_mac_mr<M, 6>(m, rows, key, count, samples);
+      case 3:
+        return bundle_mac_mr<M, 3>(m, rows, key, count, samples);
+      default:
+        return bundle_mac_mr<0, 0>(m, rows, key, count, samples);
     }
   }
 
-  static void mac2_rows(int m, int r0, int rows, const double* spec,
-                        const double* key, double* a0r, double* a0i,
-                        double* a1r, double* a1i) {
-    // Specialize the common spectral sizes (N = 256/1024/2048 rings) so the
-    // block bodies see a compile-time m; anything else takes the generic
-    // runtime-m path.
+  static void bundle_mac(int m, int rows, const double* key, int count,
+                         double* const* samples) {
+    // Specialize the common spectral sizes (N = 256/1024/2048 rings);
+    // anything else takes the runtime-m path.
     switch (m) {
       case 128:
-        return mac2_rows_m<128>(m, r0, rows, spec, key, a0r, a0i, a1r, a1i);
+        return bundle_mac_m<128>(m, rows, key, count, samples);
       case 512:
-        return mac2_rows_m<512>(m, r0, rows, spec, key, a0r, a0i, a1r, a1i);
+        return bundle_mac_m<512>(m, rows, key, count, samples);
       case 1024:
-        return mac2_rows_m<1024>(m, r0, rows, spec, key, a0r, a0i, a1r, a1i);
+        return bundle_mac_m<1024>(m, rows, key, count, samples);
       default:
-        return mac2_rows_m<0>(m, r0, rows, spec, key, a0r, a0i, a1r, a1i);
+        return bundle_mac_mr<0, 0>(m, rows, key, count, samples);
     }
   }
 };
@@ -495,9 +554,9 @@ inline void generic_rot_scale_add(const NegacyclicPlan& plan, double* dr,
 
 /// Portable rotation-factor materialization: fr/fi receive the pointwise
 /// X^{-c} - 1 factor in storage order (same ft1 gathers as rot_scale_add).
-/// The fused bundle path calls this once per active key subset, hoisting
-/// the table gathers out of the mac2 hot loop -- the factor is
-/// identical for all 2l decomposition rows of a subset.
+/// The fused bundle path calls this once per sample and active key subset,
+/// hoisting the table gathers out of the bundle_mac hot loop -- the factor
+/// is identical for all 2l decomposition rows of a subset.
 inline void generic_rot_factor(const NegacyclicPlan& plan,
                                double* __restrict fr, double* __restrict fi,
                                int64_t c) {

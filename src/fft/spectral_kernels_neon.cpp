@@ -48,10 +48,10 @@ const SpectralKernels kNeonKernels = {
     &detail::PlanarKernels<simd::Neon>::add_assign,
     &detail::PlanarKernels<simd::Neon>::scale_add,
     // No FP gather on aarch64; the portable rotation-factor loop runs once
-    // per subset and the gather-free mac2 hot loop vectorizes fine.
+    // per sample and subset, and the gather-free bundle_mac hot loop
+    // vectorizes fine.
     &detail::generic_rot_factor,
-    &detail::PlanarKernels<simd::Neon>::mac2,
-    &detail::PlanarKernels<simd::Neon>::mac2_rows,
+    &detail::PlanarKernels<simd::Neon>::bundle_mac,
     &decompose_neon,
     &detail::u32_sub<simd::Neon>,
     &detail::ks_digits<simd::Neon>,

@@ -41,11 +41,13 @@ struct BootstrapWorkspace {
   GateTestvSpectra testv_spec;
 
   // Batched-blind-rotation arena (grow-only, so steady-state batches are
-  // allocation-free): per-sample accumulators and rotation states, plus the
-  // extract staging and keyswitch pointer tables bootstrap_batch flushes
-  // through.
+  // allocation-free): per-sample accumulators and rotation states, the
+  // per-sample spectral blocks of the SIMD engine's fused group step, plus
+  // the extract staging and keyswitch pointer tables bootstrap_batch
+  // flushes through.
   std::vector<TLweSample> batch_acc;
   std::vector<BlindRotateState> batch_st;
+  BundleFlushArena batch_flush;
   std::vector<LweSample> batch_u;
   std::vector<const LweSample*> batch_ks_in;
   std::vector<LweSample*> batch_ks_out;
@@ -129,10 +131,13 @@ GateTestvSpectra* gate_testv_cache(BootstrapWorkspace<Engine>& ws,
 /// once per batch and stay cache-hot for all B bundle steps -- the
 /// key_switch_batch amortization applied to the bootstrapping key.
 /// Per-sample accumulators land in ws.batch_acc[0..B).
-/// Bit-identity contract: sample b runs exactly the same step sequence
-/// (blind_rotate_init + per-group/per-index steps on the same workspace
-/// scratch, which every step fully overwrites) whatever it is batched with,
-/// so its result is bit-identical to a B = 1 call at every batch size.
+/// Bit-identity contract: sample b runs exactly the same arithmetic
+/// (blind_rotate_init, then per group its own spectra, subset sums and
+/// rotations in a fixed order, on scratch that every step fully
+/// overwrites) whatever it is batched with, so its result is bit-identical
+/// to a B = 1 call at every batch size. The fused SIMD group step shares
+/// each key row load across a block of samples but never mixes their
+/// arithmetic (bku/bundle.h).
 template <class Engine>
 void blind_rotate_batch(const Engine& eng,
                         const DeviceBootstrapKey<Engine>& key,
@@ -164,14 +169,9 @@ void blind_rotate_batch(const Engine& eng,
 
   GateTestvSpectra* tc = gate_testv_cache(ws, testv);
   for (int g = 0; g < key.num_groups(); ++g) {
-    const int mg = key.members(g);
-    for (int b = 0; b < batch; ++b) {
-      group_subset_exponents(xs[b]->a.data() + g * key.unroll_m, mg, n_ring,
-                             ws.exponents);
-      bundle_rotate_step(eng, key, g, ws.exponents,
-                         ws.batch_acc[static_cast<size_t>(b)], ws.bundle,
-                         ws.ep, ws.batch_st[static_cast<size_t>(b)], tc);
-    }
+    bundle_group_step(eng, key, g, xs, batch, ws.batch_acc.data(),
+                      ws.batch_st.data(), ws.exponents, ws.bundle, ws.ep,
+                      ws.batch_flush, tc);
   }
 }
 

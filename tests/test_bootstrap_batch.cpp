@@ -6,6 +6,7 @@
 // BatchExecutor's per-wavefront bootstrap flush across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -261,6 +262,122 @@ TEST(BootstrapBatch, FunctionalBatchMatchesSequential) {
                                            BlindRotateMode::kBundle, 55);
     expect_functional_batch_matches_single(eng, K.ck1,
                                            BlindRotateMode::kClassicCMux, 56);
+  }
+}
+
+/// Moves c's phase under `key` to `target` (noise-free), keeping its mask.
+void set_phase(const LweKey& key, LweSample& c, Torus32 target) {
+  c.b += target - lwe_phase(key, c);
+}
+
+/// Security110 inputs for the batch-identity sweep, `phase(i)` giving
+/// sample i's plaintext phase. Sample 1 has a = 0: every group's exponents
+/// are zero, so it never rotates and stays pristine throughout. Sample 2
+/// has the first half of its mask zeroed: it stays pristine past group 0,
+/// and its first live group is flushed together with samples that are
+/// already past their first step (one pristine and one steady-state
+/// bundle_mac call for the same key subset).
+template <class PhaseFn>
+std::vector<LweSample> security110_inputs(const SecretKeyset& sk, int count,
+                                          PhaseFn phase, Rng& rng) {
+  std::vector<LweSample> xs;
+  for (int i = 0; i < count; ++i) {
+    xs.push_back(lwe_encrypt(sk.lwe, phase(i), sk.params.lwe.sigma, rng));
+  }
+  std::fill(xs[1].a.begin(), xs[1].a.end(), 0u);
+  std::fill(xs[2].a.begin(), xs[2].a.begin() + sk.params.lwe.n / 2, 0u);
+  set_phase(sk.lwe, xs[1], phase(1));
+  set_phase(sk.lwe, xs[2], phase(2));
+  return xs;
+}
+
+/// The SIMD engine's sample-blocked bundle-MAC at the paper's ring
+/// (N = 1024): gate and two-output functional bootstraps at
+/// B in {2, 3, 4, 5, 8} -- full and partial sample blocks of every tier --
+/// must match fresh-workspace B = 1 calls bit for bit, at m = 1, 2, 3.
+TEST(BootstrapBatch, Security110SimdBatchMatchesSingle) {
+  const TfheParams p = TfheParams::security110();
+  Rng rng = test::test_rng(81);
+  const SecretKeyset sk = SecretKeyset::generate(p, rng);
+  SimdFftEngine eng(p.ring.n_ring);
+  const int n_ring = p.ring.n_ring;
+  constexpr int kMax = 8;
+
+  const std::vector<LweSample> gate_in = security110_inputs(
+      sk, kMax,
+      [](int i) {
+        return double_to_torus32((i % 2 == 0 ? 1.0 : -1.0) * 0.125);
+      },
+      rng);
+  const int slots = 4;
+  const std::vector<LweSample> lut_in = security110_inputs(
+      sk, kMax, [&](int i) { return encode_message(i % slots, slots); }, rng);
+  std::vector<Torus32> vals(slots);
+  for (int i = 0; i < slots; ++i) {
+    vals[static_cast<size_t>(i)] = encode_message((i * 3 + 1) % slots, slots);
+  }
+  const TorusPolynomial tv = make_lut_testvector(n_ring, vals);
+  const int offsets[2] = {0, n_ring / slots};
+
+  for (int m = 1; m <= 3; ++m) {
+    const auto bk = load_bootstrap_key(
+        eng, make_unrolled_bootstrap_key(sk.lwe, sk.tlwe, p.gadget, m, rng));
+    // B = 1 references; functional output j of sample b at [2 * b + j].
+    std::vector<LweSample> gate_one(kMax), lut_one(2 * kMax);
+    for (int b = 0; b < kMax; ++b) {
+      const size_t i = static_cast<size_t>(b);
+      BootstrapWorkspace<SimdFftEngine> ws_gate(eng, p.gadget);
+      BootstrapWorkspace<SimdFftEngine> ws_lut(eng, p.gadget);
+      const LweSample* g_in = &gate_in[i];
+      LweSample* g_out = &gate_one[i];
+      bootstrap_wo_keyswitch_batch(eng, bk, p.mu(), &g_in, &g_out, 1, ws_gate);
+      const LweSample* l_in = &lut_in[i];
+      LweSample* l_out[2] = {&lut_one[2 * i], &lut_one[2 * i + 1]};
+      functional_bootstrap_multi_wo_keyswitch_batch(eng, bk, tv, &l_in, l_out,
+                                                    offsets, 2, 1, ws_lut);
+      EXPECT_EQ(lwe_phase(sk.extracted, gate_one[i]) < 0x80000000u ? 1 : 0,
+                b % 2 == 0 ? 1 : 0)
+          << "m=" << m << " sample " << b;
+      EXPECT_EQ(decode_message(lwe_phase(sk.extracted, lut_one[2 * i]), slots),
+                ((b % slots) * 3 + 1) % slots)
+          << "m=" << m << " sample " << b;
+    }
+
+    // One batched workspace per kind, reused across batch sizes as a
+    // worker's is.
+    BootstrapWorkspace<SimdFftEngine> ws_gate(eng, p.gadget);
+    BootstrapWorkspace<SimdFftEngine> ws_lut(eng, p.gadget);
+    for (const int batch : {2, 3, 4, 5, 8}) {
+      std::vector<const LweSample*> g_in, l_in;
+      std::vector<LweSample> g_got(static_cast<size_t>(batch)),
+          l_got(static_cast<size_t>(2 * batch));
+      std::vector<LweSample*> g_out, l_out(static_cast<size_t>(2 * batch));
+      for (int b = 0; b < batch; ++b) {
+        const size_t i = static_cast<size_t>(b);
+        g_in.push_back(&gate_in[i]);
+        l_in.push_back(&lut_in[i]);
+        g_out.push_back(&g_got[i]);
+        l_out[i] = &l_got[i];                       // output 0 at [b]
+        l_out[static_cast<size_t>(batch) + i] =     // output 1 at [B + b]
+            &l_got[static_cast<size_t>(batch) + i];
+      }
+      bootstrap_wo_keyswitch_batch(eng, bk, p.mu(), g_in.data(), g_out.data(),
+                                   batch, ws_gate);
+      functional_bootstrap_multi_wo_keyswitch_batch(
+          eng, bk, tv, l_in.data(), l_out.data(), offsets, 2, batch, ws_lut);
+      for (int b = 0; b < batch; ++b) {
+        const size_t i = static_cast<size_t>(b);
+        EXPECT_TRUE(same_sample(g_got[i], gate_one[i]))
+            << "gate m=" << m << " batch=" << batch << " sample " << b;
+        for (int j = 0; j < 2; ++j) {
+          EXPECT_TRUE(same_sample(
+              l_got[static_cast<size_t>(j * batch + b)],
+              lut_one[2 * i + static_cast<size_t>(j)]))
+              << "lut output " << j << " m=" << m << " batch=" << batch
+              << " sample " << b;
+        }
+      }
+    }
   }
 }
 

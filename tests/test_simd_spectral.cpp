@@ -6,6 +6,8 @@
 // the alignment/aliasing contracts of every kernel level the host supports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -173,7 +175,7 @@ TEST_P(SimdEngineSweep, RoundTripIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SimdEngineSweep,
-    ::testing::Combine(::testing::Values(8, 16, 64, 128, 256, 1024),
+    ::testing::Combine(::testing::Values(8, 16, 64, 128, 256, 1024, 2048),
                        ::testing::Values(SimdLevel::kScalar, SimdLevel::kAvx2,
                                          SimdLevel::kAvx512,
                                          SimdLevel::kNeon)),
@@ -181,6 +183,36 @@ INSTANTIATE_TEST_SUITE_P(
       return "n" + std::to_string(std::get<0>(info.param)) + "_" +
              simd_level_name(std::get<1>(info.param));
     });
+
+TEST(SimdEngine, ForwardPlanesMatchScalarTierEveryRing) {
+  // Every ring from 8 to 2048 hits every stage shape: q = 2 stages (N =
+  // 2*4^t, run on full vectors through the quarter transpose on avx2 and
+  // avx512), q = 1 and 4 tails, the radix-2 pair stage. The tiers round
+  // differently (fused vs separate multiply-add), so the planes agree to
+  // rounding, not bit for bit.
+  for (int n = 8; n <= 2048; n *= 2) {
+    Rng rng(static_cast<uint64_t>(n));
+    const TorusPolynomial p = random_torus(rng, n);
+    SimdFftEngine scalar(n, SimdLevel::kScalar);
+    SpectralP want;
+    scalar.to_spectral_torus(p, want);
+    double scale = 0;
+    for (int k = 0; k < n / 2; ++k) {
+      scale = std::max({scale, std::fabs(want.re[k]), std::fabs(want.im[k])});
+    }
+    for (const SimdLevel level : testable_levels()) {
+      SimdFftEngine eng(n, level);
+      SpectralP got;
+      eng.to_spectral_torus(p, got);
+      double err = 0;
+      for (int k = 0; k < n / 2; ++k) {
+        err = std::max({err, std::fabs(got.re[k] - want.re[k]),
+                        std::fabs(got.im[k] - want.im[k])});
+      }
+      EXPECT_LE(err, 1e-9 * scale) << "n=" << n << " " << eng.level_name();
+    }
+  }
+}
 
 TEST(SimdEngine, MacAccumulatesMultipleRows) {
   const int n = 256;
