@@ -190,6 +190,14 @@ void report_fusion(JsonWriter& j, const char* name, CircuitBuilder& builder) {
   j.end_object();
 }
 
+/// Mean blind-rotation samples per coalesced flush of the executor's last
+/// run (how many samples shared each bootstrapping-key pass).
+double rotations_per_flush(const exec::BatchStats& st) {
+  return st.rotation_flushes > 0 ? static_cast<double>(st.bootstraps) /
+                                       static_cast<double>(st.rotation_flushes)
+                                 : 0.0;
+}
+
 /// The pre-batching sequential bootstrap, reconstructed as the baseline the
 /// fused path is measured against: per sample, every group materializes its
 /// 2l x 2 bundle spectra (build_bundle) and runs a plain external product --
@@ -312,6 +320,7 @@ int main() {
       j.field("workers", st.workers);
       j.field("steals", st.steals);
       j.field("sched_efficiency", st.sched_efficiency);
+      j.field("rotations_per_flush", rotations_per_flush(st));
       j.field("ok", ok);
       j.end_object();
     }
@@ -509,6 +518,7 @@ int main() {
     j.field("workers", es.workers);
     j.field("steals", es.steals);
     j.field("sched_efficiency", es.sched_efficiency);
+    j.field("rotations_per_flush", rotations_per_flush(es));
     j.field("ok", ok);
     j.end_object();
   }

@@ -230,8 +230,8 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out,
     auto& p = ptrs.emplace_back();
     for (const LweSample& s : in) p.push_back(&s);
     probes.push_back({[&eng, &bk, &w, &p, batch] {
-                        blind_rotate_batch(eng, bk, p.data(), batch, w.testv,
-                                           w);
+                        blind_rotate_batch(eng, bk, p.data(), batch,
+                                           gate_testvs(w, batch), w);
                       },
                       100 / batch});
   }

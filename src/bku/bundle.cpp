@@ -93,8 +93,8 @@ void synth_testv_spectra(const SimdFftEngine& eng, GateTestvSpectra& tc,
 /// Group-step phase 1 for one live sample: the 2l digit spectra of ACC
 /// into the block's spectra and the gadget identity H into its four
 /// (cleared) accumulator planes. On the pristine step acc.a == 0, so its
-/// digits and spectra vanish (zero_fft_skips), and when the initial test
-/// vector is the cached constant, the b-digit spectra synthesize from
+/// digits and spectra vanish (zero_fft_skips), and when the sample's initial
+/// test vector is the cached constant, the b-digit spectra synthesize from
 /// F(ones) instead of running l forward FFTs (testv_fft_reuses).
 void sample_spectra(const SimdFftEngine& eng, const GadgetParams& gd,
                     const TLweSample& acc, const BlindRotateState& st,
@@ -123,8 +123,8 @@ void sample_spectra(const SimdFftEngine& eng, const GadgetParams& gd,
 #endif
     eng.counters().zero_fft_skips += l;
   }
-  if (st.pristine && tc != nullptr) {
-    assert(tc->mu_valid);
+  if (st.pristine && st.gate_testv) {
+    assert(tc != nullptr && tc->mu_valid);
     synth_testv_spectra(eng, *tc, st.barb, ws, block);
     eng.counters().testv_fft_reuses += l;
   } else {

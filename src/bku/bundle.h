@@ -30,6 +30,10 @@ namespace matcha {
 struct BlindRotateState {
   int32_t barb = 0;     ///< ModSwitch_{2N}(x.b) for this sample
   bool pristine = true; ///< no external product has touched ACC yet
+  /// ACC started from the constant gate test vector the flush's
+  /// GateTestvSpectra describes, so its pristine step may synthesize the
+  /// b-digit spectra from the cache.
+  bool gate_testv = false;
 };
 
 /// Spectral cache of the constant gate test vector (the ROADMAP residual
@@ -124,7 +128,8 @@ struct BundleFlushArena {
 /// external_product, with the pristine zero-a skip); the SimdFftEngine
 /// overload below fuses the subset rotations into the MAC and never
 /// materializes a bundle. `tc` may be null; when set it must describe the
-/// samples' initial constant test vector.
+/// initial constant test vector of every sample whose state has
+/// `gate_testv` set (the other samples ignore it).
 template <class Engine>
 void bundle_group_step(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
                        int g, const LweSample* const* xs, int batch,
@@ -148,9 +153,10 @@ void bundle_group_step(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
 /// three phases over the flush's live samples. (1) Per sample: the digit
 /// spectra of ACC and the gadget identity H (real scale_adds of the digit
 /// spectra) into the sample's arena block. On the pristine step the a-half
-/// vanishes (zero_fft_skips) and, when `tc` carries the constant gate test
-/// vector, the b-digit spectra synthesize from the cached F(ones) instead of
-/// running forward FFTs (testv_fft_reuses). (2) Per key subset: each
+/// vanishes (zero_fft_skips) and, for a sample that started from the
+/// constant gate test vector `tc` carries, the b-digit spectra synthesize
+/// from the cached F(ones) instead of running forward FFTs
+/// (testv_fft_reuses). (2) Per key subset: each
 /// sample's rotation factor X^{-c} - 1 (rot_factor), then ONE bundle_mac
 /// call that streams the subset's key block once per block of samples and
 /// adds f (*) sum_r d_r (*) BK_r into every sample's accumulator. (3) Per

@@ -8,16 +8,22 @@
 // unrelated item at a barrier. There is no per-wavefront fork-join; workers
 // drain work-stealing deques (ThreadPool::run_tasks) until the batch is dry.
 //
-// Keyswitch batching: a task evaluates one gate for a *group* of batch items
-// (up to kKsGroupTarget when the batch is deep enough to keep every worker
-// fed). The gate lowering is one group-major blind-rotation flush over the
-// group's items (tfhe/bootstrap.h) followed by ONE key_switch_batch flush,
-// so both keys -- the largest read-only operands -- stream from memory once
-// per group instead of once per item (tfhe/keyswitch.h). Group size trades
-// key-traffic amortization against task-level parallelism, so it shrinks to
-// items / num_threads when the batch is narrow; correctness never depends on
-// it (exact mod-2^32 arithmetic makes grouped and per-item keyswitch
-// bit-identical).
+// Flush coalescing: a task evaluates one gate for a *group* of batch items
+// (items / num_threads, at most kKsGroupTarget), and a worker that pops a
+// task keeps absorbing the ready tasks at the back of its own deque
+// (ThreadPool::TaskSink::take_local) while the flush holds at most
+// kMaxFlushRotations blind-rotation samples (a MUX counts 2) and the deque
+// keeps one task per idle worker. The whole flush is one group-major
+// blind-rotation pass (tfhe/bootstrap.h; each sample brings its own test
+// vector, so gates, MUX branches and LUTs share it) followed by ONE
+// key_switch_batch, so both keys -- the largest read-only operands --
+// stream from memory once per flush instead of once per group. The task
+// and its group are the floor: a flush is never smaller than the group, so
+// a one-task-per-group level (a carry chain) keeps its parallelism, while a
+// wide level (43 minterm LUTs per item) packs up to 16 samples per key
+// pass. Correctness never depends on the flush: a sample's arithmetic is
+// independent of what it is flushed with, and keyswitch is exact
+// mod 2^32.
 //
 // Determinism: every worker slot owns a private Engine instance (engines
 // carry mutable scratch buffers and counters -- sharing one across threads
@@ -30,7 +36,7 @@
 // output depends only on its input ciphertexts and bootstrapping is
 // deterministic, so results are bit-identical to single-thread execution
 // (and to GateEvaluator's immediate mode) regardless of thread count, steal
-// pattern, or batch grouping.
+// pattern, batch grouping, or which tasks shared a flush.
 //
 // Counters: each worker engine accumulates its EngineCounters privately
 // during a run; the executor merges them into one aggregate on batch
@@ -40,8 +46,9 @@
 // a fault in one item's cone -- an injected bit flip, an allocation failure,
 // a worker-task exception -- must never take down the batch. The executor
 // tracks per-(item, node) validity alongside the refcount schedule: a failed
-// task marks its items' outputs invalid and STILL decrements its consumers
-// (so the task space drains normally), and downstream tasks simply skip
+// flush marks the items of every task it carried failed (their outputs stay
+// invalid) and STILL decrements those tasks' consumers (so the task space
+// drains normally), and downstream tasks simply skip
 // items whose operands are invalid. After the pool run, a bounded retry
 // recomputes only the invalid nodes of each faulted item on the caller's
 // slot; items that stay faulted report a structured per-item Status in their
@@ -128,6 +135,11 @@ struct BatchStats {
   int workers = 0;         ///< worker slots that participated
   int64_t steals = 0;      ///< tasks executed off another worker's deque
   double sched_efficiency = 0; ///< busy worker-time / (workers * wall)
+  // Flush coalescing: a worker evaluates the ready tasks it holds as one
+  // blind-rotation flush, so bootstraps / rotation_flushes is the mean
+  // number of samples that shared each bootstrapping-key pass.
+  int64_t rotation_flushes = 0; ///< blind-rotation flushes in the pool run
+  int max_flush_rotations = 0;  ///< most rotations any one flush carried
   // Fault accounting for the last run.
   int faulted_items = 0;  ///< items that hit at least one fault
   int retried_items = 0;  ///< faulted items the bounded retry repaired
@@ -206,6 +218,8 @@ class BatchExecutor {
     for (auto& w : workers_) {
       w->engine->counters().reset();
       w->busy_ns = 0;
+      w->flushes = 0;
+      w->max_flush_rotations = 0;
     }
     const int items = static_cast<int>(batch.size());
     const int num_nodes = g.num_nodes();
@@ -271,15 +285,36 @@ class BatchExecutor {
     ThreadPool::TaskRunStats run_stats;
     run_stats.workers = 0; // stays 0 when there is nothing to dispatch
     if (total_tasks > 0) {
-      const auto task = [&](ThreadPool::TaskSink& sink, uint64_t t) {
+      const auto task_of = [&](uint64_t t) {
         const int grp = static_cast<int>(t / static_cast<uint64_t>(num_nodes));
-        const int gate = static_cast<int>(t % static_cast<uint64_t>(num_nodes));
         const int b0 = grp * group_size;
-        const int b1 = std::min(items, b0 + group_size);
+        return FlushTask{static_cast<int>(t % static_cast<uint64_t>(num_nodes)),
+                         b0, std::min(items, b0 + group_size)};
+      };
+      // Upper bound of a task's blind rotations (every item of its group
+      // live): what it may add to a flush.
+      const auto rotations = [&](uint64_t t) {
+        const FlushTask ft = task_of(t);
+        return (ft.b1 - ft.b0) *
+               bootstrap_cost(g.nodes()[static_cast<size_t>(ft.gate)].kind);
+      };
+      const auto task = [&](ThreadPool::TaskSink& sink, uint64_t t) {
         Worker& w = *workers_[static_cast<size_t>(sink.slot())];
         const auto g0 = std::chrono::steady_clock::now();
-        // A fault anywhere in the group must NOT escape to the pool: the
-        // group's items are marked failed (their outputs stay invalid) and
+        // Coalesce: the popped task is the floor of the flush; more ready
+        // tasks join from this worker's own deque while they fit the
+        // rotation cap and the surplus rule leaves one per idle worker.
+        w.flush.assign(1, task_of(t));
+        int budget = kMaxFlushRotations - rotations(t);
+        uint64_t more = 0;
+        while (sink.take_local(more, [&](uint64_t c) {
+          return rotations(c) <= budget;
+        })) {
+          budget -= rotations(more);
+          w.flush.push_back(task_of(more));
+        }
+        // A fault anywhere in the flush must NOT escape to the pool: the
+        // flush's items are marked failed (their outputs stay invalid) and
         // the consumer decrements below still run, so the rest of the batch
         // drains as if nothing happened -- that is the isolation contract.
         try {
@@ -288,18 +323,24 @@ class BatchExecutor {
                 fault::kSiteTaskException,
                 unavailable_status("injected worker-task exception"));
           }
-          eval_gate_group(w, g, gate, b0, b1, results, fail_item);
+          eval_flush(w, g, results, fail_item);
         } catch (...) {
           const Status st = status_from_exception();
-          for (int b = b0; b < b1; ++b) fail_item(b, st);
+          for (const FlushTask& ft : w.flush) {
+            for (int b = ft.b0; b < ft.b1; ++b) fail_item(b, st);
+          }
         }
         w.busy_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                          std::chrono::steady_clock::now() - g0)
                          .count();
-        const uint64_t base = static_cast<uint64_t>(grp) * num_nodes;
-        for (const int c : flow.consumers[static_cast<size_t>(gate)]) {
-          if (pending[base + c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            sink.push(base + c);
+        for (const FlushTask& ft : w.flush) {
+          const uint64_t base =
+              static_cast<uint64_t>(ft.b0 / group_size) * num_nodes;
+          for (const int c : flow.consumers[static_cast<size_t>(ft.gate)]) {
+            if (pending[base + c].fetch_sub(1, std::memory_order_acq_rel) ==
+                1) {
+              sink.push(base + c);
+            }
           }
         }
       };
@@ -314,10 +355,15 @@ class BatchExecutor {
     // part of the batch's steady-state cost, and its counter deltas are
     // discarded by the next run's per-worker reset.
     int64_t busy_ns = 0;
+    stats_.rotation_flushes = 0;
+    stats_.max_flush_rotations = 0;
     for (auto& w : workers_) {
       merged_ += w->engine->counters();
       w->engine->counters().reset();
       busy_ns += w->busy_ns;
+      stats_.rotation_flushes += w->flushes;
+      stats_.max_flush_rotations =
+          std::max(stats_.max_flush_rotations, w->max_flush_rotations);
     }
 
     // A tripped deadline leaves tasks unexecuted with no fault recorded;
@@ -359,10 +405,9 @@ class BatchExecutor {
       const GateNode& n = g.nodes()[i];
       if (!n.is_gate()) continue;
       if (n.kind == GateKind::kLut) {
-        int fanout = 0;
-        for (const int ow : lut_out_wires_[i]) fanout += ow >= 0 ? 1 : 0;
         stats_.max_extraction_fanout =
-            std::max(stats_.max_extraction_fanout, fanout);
+            std::max(stats_.max_extraction_fanout,
+                     live_lut_outputs(static_cast<int>(i)));
       } else if (bootstrap_cost(n.kind) > 0) {
         stats_.max_extraction_fanout = std::max(stats_.max_extraction_fanout, 1);
       }
@@ -397,38 +442,62 @@ class BatchExecutor {
   int max_retries() const { return max_retries_; }
 
  private:
+  /// One (item group x gate) task inside a flush, plus where eval_flush
+  /// staged it.
+  struct FlushTask {
+    int gate = 0;
+    int b0 = 0, b1 = 0; ///< the group's batch items [b0, b1)
+    int live0 = 0, live1 = 0; ///< its live items: Worker::live[live0, live1)
+    int rot0 = 0;             ///< its first sample in the rotation flush
+  };
+
   struct Worker {
     std::unique_ptr<Engine> engine;
     BootstrapWorkspace<Engine> ws;
     int64_t busy_ns = 0; ///< time inside gate kernels during the last run
-    // Bootstrap-batching scratch: the group's linear-combination inputs and
-    // the pointer tables one group-major blind-rotation flush consumes
-    // (combo sized 2x for MUX's two branch bootstraps, mux2 holding u2),
-    // plus the pre-keyswitch N-LWE staging and the digit workspace of the
-    // batched keyswitch flush. All grow-only, reused across tasks.
+    int64_t flushes = 0; ///< blind-rotation flushes during the last run
+    int max_flush_rotations = 0;
+    /// The tasks of the flush being evaluated.
+    std::vector<FlushTask> flush;
+    // Flush scratch, grow-only and reused across flushes: the samples'
+    // linear-combination inputs and test vectors, the pre-keyswitch N-LWE
+    // staging of every extracted output, MUX's second-branch extraction,
+    // and the digit workspace of the batched keyswitch.
     std::vector<LweSample> combo;
-    std::vector<LweSample> mux2;
     std::vector<const LweSample*> bs_in;
-    std::vector<LweSample*> bs_out;
+    std::vector<const TorusPolynomial*> bs_testv;
     std::vector<LweSample> stage;
+    LweSample mux_u2;
     std::vector<const LweSample*> ks_in;
     std::vector<LweSample*> ks_out;
+    std::vector<std::pair<int, int>> ks_mark; ///< (item, wire) per ks_out
     KeySwitchWorkspace ks_ws;
-    /// Live items of the current task (operands valid; see eval_gate_group).
+    /// Live items of the flush's tasks (operands valid; see eval_flush).
     std::vector<int> live;
 
     Worker(std::unique_ptr<Engine> eng, const GadgetParams& gadget)
         : engine(std::move(eng)), ws(*engine, gadget) {}
   };
 
-  /// Amortization wants large groups (the keyswitch key streams once per
-  /// group); the dataflow scheduler wants enough tasks to feed every worker.
-  /// Group up to kKsGroupTarget items, but never so coarsely that a worker
-  /// sees fewer than one group of the batch.
+  /// The (item group x gate) task and its group size are the floor of a
+  /// flush: a gate's group is never split. Larger groups amortize both keys
+  /// further but starve the scheduler when a level is one task per group
+  /// (a carry chain), so the group stays items / num_threads up to
+  /// kKsGroupTarget and coalescing adds ready tasks on top instead.
   static constexpr int kKsGroupTarget = 8;
   int ks_group_for(int items) const {
     return std::max(1, std::min(kKsGroupTarget, items / pool_.num_threads()));
   }
+
+  /// Most blind-rotation samples one coalesced flush may carry (a MUX task
+  /// counts 2 per item). Measured per sample, blind rotation + keyswitch at
+  /// security110, 4 threads sharing one key: m = 1 13.5-14.7 ms at B = 2,
+  /// 11.1-12.4 at B = 8, 11.7-12.4 at B = 16, 14.9-15.6 at B = 32; m = 3
+  /// 11.6 ms at B = 4, 9.7 at B = 16, 14.1 at B = 32. Past 16 the ~72 KiB
+  /// per-sample flush arena outgrows a 2 MiB L2.
+  static constexpr int kMaxFlushRotations = 16;
+  static_assert(2 * kKsGroupTarget <= kMaxFlushRotations,
+                "a single MUX task must fit one flush");
 
   /// True iff every gate node of `r` holds a valid value.
   static bool item_complete(const GateGraph& g, const BatchResult& r) {
@@ -438,20 +507,20 @@ class BatchExecutor {
     return true;
   }
 
-  /// Injected-bit-flip site shared by both keyswitch tails. The model is a
+  /// Injected-bit-flip site of the keyswitch flush. The model is a
   /// physical upset the runtime's integrity check traps: the victim's fresh
-  /// ciphertext is corrupted AND detected, so the value is invalidated and
-  /// the item reports kDataLoss (retry recomputes it) -- never a wrong
-  /// plaintext presented as success.
+  /// ciphertext (the flush's first key-switched output) is corrupted AND
+  /// detected, so the value is invalidated and the item reports kDataLoss
+  /// (retry recomputes it) -- never a wrong plaintext presented as success.
   template <class FailFn>
-  void maybe_flip_keyswitch_output(Worker& w, int wire,
+  void maybe_flip_keyswitch_output(const Worker& w,
                                    std::vector<BatchResult>& results,
                                    const FailFn& fail_item) {
-    if (w.live.empty() ||
+    if (w.ks_mark.empty() ||
         !fault::should_fire(fault::kSiteKeyswitchBitflip)) {
       return;
     }
-    const int victim = w.live.front();
+    const auto [victim, wire] = w.ks_mark.front();
     auto& r = results[static_cast<size_t>(victim)];
     auto& c = r.values[static_cast<size_t>(wire)];
     if (!c.a.empty()) c.a[0] ^= 1u << 30;
@@ -492,7 +561,8 @@ class BatchExecutor {
           }
           if (!operands_ok) break;
           try {
-            eval_gate_group(w0, g, i, b, b + 1, results, fail_item);
+            w0.flush.assign(1, FlushTask{i, b, b + 1});
+            eval_flush(w0, g, results, fail_item);
           } catch (...) {
             fail_item(b, status_from_exception());
           }
@@ -510,225 +580,216 @@ class BatchExecutor {
     }
   }
 
-  /// Evaluate gate `id` for the *live* batch items of [b0, b1) -- items
-  /// whose operands are all valid; items a fault already sidelined are
-  /// skipped (their failure was recorded when the operand's producer
-  /// faulted). For the live set: stage every item's pre-bootstrap linear
-  /// combination, run ONE group-major blind-rotation flush (the spectral
-  /// bootstrapping key streams from DRAM once per group of items instead of
-  /// once per item; MUX flushes its 2x branch bootstraps in the same pass),
-  /// then one batched keyswitch flush into the items' result slots. A
-  /// sample's result does not depend on what it is batched with, so it is
-  /// bit-identical to GateEvaluator's immediate mode -- whatever subset of
-  /// the group is live.
+  /// Evaluate the worker's flush -- every task's gate for its *live* batch
+  /// items, those whose operands are all valid (items a fault already
+  /// sidelined are skipped; their failure was recorded when the operand's
+  /// producer faulted) -- in one pass over each key:
+  ///   1. stage every task: NOT and free-OR complete here (no bootstrap);
+  ///      each bootstrapped item gets its linear combination and test
+  ///      vector (the constant ws.testv for gates and both MUX branches,
+  ///      the node's LUT vector for kLut);
+  ///   2. ONE group-major blind_rotate_batch over all staged samples, so
+  ///      the bootstrapping key streams once per flush;
+  ///   3. per task, the extractions: a gate at offset 0, a MUX both
+  ///      branches + mux_combine, a LUT at each live output's offset;
+  ///   4. ONE key_switch_batch over every extracted output;
+  ///   5. the validity marks.
+  /// A sample's result does not depend on what it is flushed with, so
+  /// every output is bit-identical to GateEvaluator's immediate mode --
+  /// whatever tasks, groups and live subsets share the flush.
   template <class FailFn>
-  void eval_gate_group(Worker& w, const GateGraph& g, int id, int b0, int b1,
-                       std::vector<BatchResult>& results,
-                       const FailFn& fail_item) {
-    const GateNode& n = g.nodes()[static_cast<size_t>(id)];
-    if (n.kind == GateKind::kLutOut) {
-      // The parent kLut task already extracted and key-switched this output
-      // into our result slot (it runs first: this node's readiness refcount
-      // counts the parent as an operand). Nothing to compute.
-      return;
-    }
+  void eval_flush(Worker& w, const GateGraph& g,
+                  std::vector<BatchResult>& results, const FailFn& fail_item) {
+    const auto node = [&](const FlushTask& t) -> const GateNode& {
+      return g.nodes()[static_cast<size_t>(t.gate)];
+    };
+    // 1. Stage.
     w.live.clear();
-    for (int b = b0; b < b1; ++b) {
-      const auto& ok = results[static_cast<size_t>(b)].value_ok;
-      bool operands_ok = true;
-      for (int j = 0; j < n.fan_in(); ++j) {
-        operands_ok = operands_ok && ok[static_cast<size_t>(n.in[j])] != 0;
+    int nrot = 0;
+    size_t nout = 0;
+    for (FlushTask& t : w.flush) {
+      const GateNode& n = node(t);
+      t.live0 = static_cast<int>(w.live.size());
+      t.rot0 = nrot;
+      // A kLutOut's parent task already extracted and key-switched this
+      // output into its result slot (the parent runs first: this node's
+      // readiness refcount counts it as an operand). Nothing to compute.
+      if (n.kind != GateKind::kLutOut) {
+        for (int b = t.b0; b < t.b1; ++b) {
+          const auto& ok = results[static_cast<size_t>(b)].value_ok;
+          bool operands_ok = true;
+          for (int j = 0; j < n.fan_in(); ++j) {
+            operands_ok = operands_ok && ok[static_cast<size_t>(n.in[j])] != 0;
+          }
+          if (operands_ok) w.live.push_back(b);
+        }
       }
-      if (operands_ok) w.live.push_back(b);
-    }
-    const int count = static_cast<int>(w.live.size());
-    if (count == 0) return;
-    const Engine& eng = *w.engine;
-    if (n.kind == GateKind::kNot) {
-      for (int k = 0; k < count; ++k) {
-        auto& res = results[static_cast<size_t>(w.live[k])];
+      t.live1 = static_cast<int>(w.live.size());
+      const int count = t.live1 - t.live0;
+      const int cost = bootstrap_cost(n.kind);
+      if (cost > 0) {
+        nrot += count * cost;
+        nout += static_cast<size_t>(count) *
+                (n.kind == GateKind::kLut ? live_lut_outputs(t.gate) : 1);
+        continue;
+      }
+      // NOT and free-OR complete here (a kLutOut has no live items).
+      for (int k = t.live0; k < t.live1; ++k) {
+        auto& res = results[static_cast<size_t>(w.live[static_cast<size_t>(k)])];
         LweSample r = res.values[n.in[0]];
-        r.negate();
-        res.values[static_cast<size_t>(id)] = std::move(r);
-        res.value_ok[static_cast<size_t>(id)] = 1;
+        if (n.kind == GateKind::kNot) {
+          r.negate();
+        } else {
+          // Disjoint OR of two ciphertexts: a plain addition plus the
+          // trivial +mu offset (both-false sums to -mu, exactly-one-true
+          // to +mu; the compiler guarantees both-true is unreachable).
+          r += res.values[n.in[1]];
+          r.b += mu_;
+        }
+        res.values[static_cast<size_t>(t.gate)] = std::move(r);
+        res.value_ok[static_cast<size_t>(t.gate)] = 1;
       }
-      return;
     }
-    if (n.kind == GateKind::kFreeOr) {
-      // Disjoint OR of two ciphertexts: a plain addition plus the trivial
-      // +mu offset (both-false sums to -mu, exactly-one-true to +mu; the
-      // compiler guarantees both-true is unreachable). No bootstrap.
-      for (int k = 0; k < count; ++k) {
-        auto& res = results[static_cast<size_t>(w.live[k])];
-        LweSample r = res.values[n.in[0]];
-        r += res.values[n.in[1]];
-        r.b += mu_;
-        res.values[static_cast<size_t>(id)] = std::move(r);
-        res.value_ok[static_cast<size_t>(id)] = 1;
-      }
-      return;
-    }
-    const size_t nflush = static_cast<size_t>(
-        n.kind == GateKind::kMux ? 2 * count : count);
+    if (nrot == 0) return;
     if (fault::should_fire(fault::kSiteArenaAllocFail)) {
       throw fault::FaultInjected(
           fault::kSiteArenaAllocFail,
           resource_exhausted_status(
               "worker staging arena allocation failed (injected)"));
     }
-    if (w.stage.size() < static_cast<size_t>(count)) {
-      w.stage.resize(static_cast<size_t>(count));
-    }
-    if (w.combo.size() < nflush) w.combo.resize(nflush);
-    w.bs_in.resize(nflush);
-    w.bs_out.resize(nflush);
-    // The bootstrapping key is shared read-only; a corrupted row cannot be
-    // written into it. The modeled failure is a *detected* corruption of the
-    // streamed row (ECC/checksum trap in hardware terms): the whole flush is
-    // abandoned before rotation, the group's items retry.
-    const auto check_bsk_stream = [] {
-      if (fault::should_fire(fault::kSiteBskRowCorrupt)) {
-        throw fault::FaultInjected(
-            fault::kSiteBskRowCorrupt,
-            data_loss_status("bootstrap-key row failed its stream integrity "
-                             "check (injected corruption)"));
-      }
-    };
-    switch (n.kind) {
-      case GateKind::kMux: {
-        // Both branch bootstraps of every item ride one flush: slots
-        // [0, count) hold u1 into stage, slots [count, 2*count) hold u2
-        // into mux2 (tfhe/gate_ops.h); the bootstrap-free combine follows.
-        if (w.mux2.size() < static_cast<size_t>(count)) {
-          w.mux2.resize(static_cast<size_t>(count));
-        }
-        for (int k = 0; k < count; ++k) {
-          const auto& v = results[static_cast<size_t>(w.live[k])].values;
+    const size_t nr = static_cast<size_t>(nrot);
+    if (w.combo.size() < nr) w.combo.resize(nr);
+    if (w.stage.size() < nout) w.stage.resize(nout);
+    w.bs_in.resize(nr);
+    w.bs_testv.resize(nr);
+    set_gate_testv(w.ws, mu_, bk_.gadget);
+    for (const FlushTask& t : w.flush) {
+      const GateNode& n = node(t);
+      if (bootstrap_cost(n.kind) == 0) continue;
+      const int count = t.live1 - t.live0;
+      const TorusPolynomial* tv =
+          n.kind == GateKind::kLut ? node_testv_[static_cast<size_t>(t.gate)]
+                                   : &w.ws.testv;
+      for (int k = 0; k < count; ++k) {
+        const auto& v =
+            results[static_cast<size_t>(w.live[static_cast<size_t>(t.live0 + k)])]
+                .values;
+        const size_t s = static_cast<size_t>(t.rot0 + k);
+        w.bs_testv[s] = tv;
+        if (n.kind == GateKind::kMux) {
+          // Both branch bootstraps ride the flush: u1 at rot0 + k, u2 at
+          // rot0 + count + k (tfhe/gate_ops.h).
+          const size_t s2 = s + static_cast<size_t>(count);
           mux_branch_inputs(v[n.in[0]], v[n.in[1]], v[n.in[2]], mu_,
-                            w.combo[static_cast<size_t>(k)],
-                            w.combo[static_cast<size_t>(count + k)]);
-          w.bs_out[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
-          w.bs_out[static_cast<size_t>(count + k)] =
-              &w.mux2[static_cast<size_t>(k)];
-        }
-        for (size_t k = 0; k < nflush; ++k) w.bs_in[k] = &w.combo[k];
-        check_bsk_stream();
-        bootstrap_wo_keyswitch_batch(eng, bk_, mu_, w.bs_in.data(),
-                                     w.bs_out.data(), static_cast<int>(nflush),
-                                     w.ws, mode_);
-        for (int k = 0; k < count; ++k) {
-          mux_combine(w.stage[static_cast<size_t>(k)],
-                      w.mux2[static_cast<size_t>(k)], mu_);
-        }
-        break;
-      }
-      case GateKind::kLut: {
-        // One weighted linear combination + one functional bootstrap per
-        // item, however many Boolean gates the cone replaced (tfhe/lut.h).
-        // A multi-output spec extracts the same rotated accumulator at each
-        // live output's ring coefficient; the dead outputs (their kLutOut
-        // node was eliminated) cost nothing.
-        for (int k = 0; k < count; ++k) {
-          const auto& v = results[static_cast<size_t>(w.live[k])].values;
+                            w.combo[s], w.combo[s2]);
+          w.bs_testv[s2] = tv;
+        } else if (n.kind == GateKind::kLut) {
+          // One weighted linear combination + one functional bootstrap per
+          // item, however many Boolean gates the cone replaced.
           std::array<const LweSample*, 4> ins{};
           for (int j = 0; j < n.fan_in(); ++j) {
             ins[static_cast<size_t>(j)] = &v[n.in[j]];
           }
-          w.combo[static_cast<size_t>(k)] = lut_cone_input(
+          w.combo[s] = lut_cone_input(
               n.lut,
               std::span<const LweSample* const>(
                   ins.data(), static_cast<size_t>(n.fan_in())),
               bk_.n_lwe);
-          w.bs_in[static_cast<size_t>(k)] = &w.combo[static_cast<size_t>(k)];
+        } else {
+          w.combo[s] = binary_gate_input(n.kind, v[n.in[0]], v[n.in[1]], mu_,
+                                         bk_.n_lwe);
         }
-        const TorusPolynomial& tv = *node_testv_[static_cast<size_t>(id)];
-        // Live outputs: the primary (this wire, offset 0) plus every kLutOut
-        // child the compiled graph kept -- a single-output LUT is n_live = 1.
-        // The extraction offset of output j is slot_shift * (ring N /
-        // slots): one test-vector band per slot.
-        const auto& out_wires = lut_out_wires_[static_cast<size_t>(id)];
+      }
+    }
+    for (size_t s = 0; s < nr; ++s) w.bs_in[s] = &w.combo[s];
+
+    // 2. Rotate. The bootstrapping key is shared read-only; a corrupted row
+    // cannot be written into it. The modeled failure is a *detected*
+    // corruption of the streamed row (ECC/checksum trap in hardware terms):
+    // the whole flush is abandoned before rotation, its items retry.
+    if (fault::should_fire(fault::kSiteBskRowCorrupt)) {
+      throw fault::FaultInjected(
+          fault::kSiteBskRowCorrupt,
+          data_loss_status("bootstrap-key row failed its stream integrity "
+                           "check (injected corruption)"));
+    }
+    blind_rotate_batch(*w.engine, bk_, w.bs_in.data(), nrot,
+                       w.bs_testv.data(), w.ws, mode_);
+    ++w.flushes;
+    w.max_flush_rotations = std::max(w.max_flush_rotations, nrot);
+
+    // 3. Extract every live output into the keyswitch staging.
+    w.ks_out.clear();
+    w.ks_mark.clear();
+    const auto out_slot = [&](int b, int wire) -> LweSample& {
+      w.ks_out.push_back(&results[static_cast<size_t>(b)]
+                              .values[static_cast<size_t>(wire)]);
+      w.ks_mark.emplace_back(b, wire);
+      return w.stage[w.ks_out.size() - 1];
+    };
+    int64_t extracts = 0;
+    for (const FlushTask& t : w.flush) {
+      const GateNode& n = node(t);
+      if (bootstrap_cost(n.kind) == 0) continue;
+      const int count = t.live1 - t.live0;
+      const auto acc = [&](int slot) -> const TLweSample& {
+        return w.ws.batch_acc[static_cast<size_t>(t.rot0 + slot)];
+      };
+      const auto item = [&](int k) {
+        return w.live[static_cast<size_t>(t.live0 + k)];
+      };
+      if (n.kind == GateKind::kLut) {
+        // The primary (this wire, offset 0) plus every kLutOut child the
+        // compiled graph kept; output j's extraction offset is
+        // slot_shift * (ring N / slots), one test-vector band per slot.
+        const auto& out_wires = lut_out_wires_[static_cast<size_t>(t.gate)];
         const int band = w.engine->ring_n() / n.lut.slots();
-        std::array<int, kLutMaxOutputs> offsets{};
-        std::array<int, kLutMaxOutputs> wires{};
-        int n_live = 0;
         for (int j = 0; j < n.lut.n_out; ++j) {
-          if (out_wires[static_cast<size_t>(j)] < 0) continue;
-          offsets[static_cast<size_t>(n_live)] =
-              n.lut.output(j).slot_shift * band;
-          wires[static_cast<size_t>(n_live)] =
-              out_wires[static_cast<size_t>(j)];
-          ++n_live;
-        }
-        const size_t nstage =
-            static_cast<size_t>(count) * static_cast<size_t>(n_live);
-        if (w.stage.size() < nstage) w.stage.resize(nstage);
-        w.bs_out.resize(nstage);
-        for (int j = 0; j < n_live; ++j) {
+          const int wire = out_wires[static_cast<size_t>(j)];
+          if (wire < 0) continue; // dead-eliminated extraction: free
           for (int k = 0; k < count; ++k) {
-            w.bs_out[static_cast<size_t>(j * count + k)] =
-                &w.stage[static_cast<size_t>(j * count + k)];
+            sample_extract_at(acc(k), n.lut.output(j).slot_shift * band,
+                              out_slot(item(k), wire));
           }
+          extracts += count;
         }
-        check_bsk_stream();
-        functional_bootstrap_multi_wo_keyswitch_batch(
-            eng, bk_, tv, w.bs_in.data(), w.bs_out.data(), offsets.data(),
-            n_live, count, w.ws, mode_);
-        w.engine->counters().sample_extracts +=
-            static_cast<int64_t>(count) * n_live;
-        // One batched keyswitch flush covers every (item, output) pair.
-        w.ks_in.resize(nstage);
-        w.ks_out.resize(nstage);
-        for (int j = 0; j < n_live; ++j) {
-          for (int k = 0; k < count; ++k) {
-            const size_t s = static_cast<size_t>(j * count + k);
-            w.ks_in[s] = &w.stage[s];
-            w.ks_out[s] = &results[static_cast<size_t>(w.live[k])]
-                               .values[static_cast<size_t>(
-                                   wires[static_cast<size_t>(j)])];
-          }
-        }
-        key_switch_batch(ks_, w.ks_in.data(), w.ks_out.data(),
-                         static_cast<int>(nstage), w.ks_ws);
-        for (int j = 0; j < n_live; ++j) {
-          for (int k = 0; k < count; ++k) {
-            results[static_cast<size_t>(w.live[k])]
-                .value_ok[static_cast<size_t>(wires[static_cast<size_t>(j)])] =
-                1;
-          }
-        }
-        maybe_flip_keyswitch_output(w, wires[0], results, fail_item);
-        return;
+        continue;
       }
-      default: {
-        for (int k = 0; k < count; ++k) {
-          const auto& v = results[static_cast<size_t>(w.live[k])].values;
-          w.combo[static_cast<size_t>(k)] = binary_gate_input(
-              n.kind, v[n.in[0]], v[n.in[1]], mu_, bk_.n_lwe);
-          w.bs_in[static_cast<size_t>(k)] = &w.combo[static_cast<size_t>(k)];
-          w.bs_out[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
+      for (int k = 0; k < count; ++k) {
+        LweSample& u = out_slot(item(k), t.gate);
+        sample_extract_into(acc(k), u);
+        if (n.kind == GateKind::kMux) {
+          sample_extract_into(acc(count + k), w.mux_u2);
+          mux_combine(u, w.mux_u2, mu_);
         }
-        check_bsk_stream();
-        bootstrap_wo_keyswitch_batch(eng, bk_, mu_, w.bs_in.data(),
-                                     w.bs_out.data(), count, w.ws, mode_);
       }
+      extracts += static_cast<int64_t>(count) * bootstrap_cost(n.kind);
     }
-    w.engine->counters().sample_extracts += static_cast<int64_t>(nflush);
-    // Deferred flush: one streaming pass over the keyswitch key serves the
-    // whole group (bit-identical to per-item key_switch -- exact mod-2^32).
-    w.ks_in.resize(static_cast<size_t>(count));
-    w.ks_out.resize(static_cast<size_t>(count));
-    for (int k = 0; k < count; ++k) {
-      w.ks_in[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
-      w.ks_out[static_cast<size_t>(k)] =
-          &results[static_cast<size_t>(w.live[k])]
-               .values[static_cast<size_t>(id)];
+    w.engine->counters().sample_extracts += extracts;
+
+    // 4. One keyswitch flush: the keyswitch key streams once for every
+    // output (bit-identical to per-output key_switch -- exact mod-2^32).
+    const size_t nks = w.ks_out.size();
+    w.ks_in.resize(nks);
+    for (size_t i = 0; i < nks; ++i) w.ks_in[i] = &w.stage[i];
+    key_switch_batch(ks_, w.ks_in.data(), w.ks_out.data(),
+                     static_cast<int>(nks), w.ks_ws);
+
+    // 5. Validity marks.
+    for (const auto& [b, wire] : w.ks_mark) {
+      results[static_cast<size_t>(b)].value_ok[static_cast<size_t>(wire)] = 1;
     }
-    key_switch_batch(ks_, w.ks_in.data(), w.ks_out.data(), count, w.ks_ws);
-    for (int k = 0; k < count; ++k) {
-      results[static_cast<size_t>(w.live[k])]
-          .value_ok[static_cast<size_t>(id)] = 1;
+    maybe_flip_keyswitch_output(w, results, fail_item);
+  }
+
+  /// Extractions a kLut node feeds: the primary plus its kept kLutOut
+  /// children (lut_out_wires_).
+  int live_lut_outputs(int id) const {
+    int live = 0;
+    for (const int ow : lut_out_wires_[static_cast<size_t>(id)]) {
+      live += ow >= 0 ? 1 : 0;
     }
-    maybe_flip_keyswitch_output(w, id, results, fail_item);
+    return live;
   }
 
   /// Resolve (building on demand) the LUT test vectors the graph needs, plus

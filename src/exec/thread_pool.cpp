@@ -101,9 +101,11 @@ struct ThreadPool::TaskSink::State {
     std::deque<uint64_t> q;
   };
 
-  explicit State(int workers) : deques(workers) {}
+  explicit State(int workers) : deques(workers), participants(workers) {}
 
   std::vector<WorkerDeque> deques;
+  const int participants;
+  std::atomic<int> busy{0};           ///< workers inside a task right now
   std::atomic<int64_t> remaining{0};  ///< tasks not yet executed
   std::atomic<bool> abort{false};     ///< a task threw; drain and bail
   std::atomic<bool> timed_out{false}; ///< the watchdog tripped; drain and bail
@@ -145,6 +147,24 @@ void ThreadPool::TaskSink::push(uint64_t task) {
     d.q.push_back(task);
   }
   state_.announce_work();
+}
+
+bool ThreadPool::TaskSink::take_local(
+    uint64_t& task, const std::function<bool(uint64_t)>& accept) {
+  // `busy` is a snapshot: a worker finishing its task a moment later only
+  // shifts which worker runs the surplus, never whether a task runs.
+  const int idle = state_.participants -
+                   state_.busy.load(std::memory_order_relaxed);
+  auto& d = state_.deques[static_cast<size_t>(slot_)];
+  std::lock_guard<std::mutex> lk(d.mu);
+  if (static_cast<int64_t>(d.q.size()) <= std::max(0, idle) ||
+      !accept(d.q.back())) {
+    return false;
+  }
+  task = d.q.back();
+  d.q.pop_back();
+  ++taken_;
+  return true;
 }
 
 ThreadPool::TaskRunStats ThreadPool::run_tasks(
@@ -258,16 +278,22 @@ ThreadPool::TaskRunStats ThreadPool::run_tasks(
         // exercises the steal/idle paths without changing any result.
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
+      sink.taken_ = 0;
+      state.busy.fetch_add(1, std::memory_order_relaxed);
       try {
         fn(sink, task);
       } catch (...) {
         // Unblock the crew: nothing new will be pushed, remaining never
         // drains, so every worker must give up on the run.
+        state.busy.fetch_sub(1, std::memory_order_relaxed);
         state.abort.store(true, std::memory_order_relaxed);
         state.announce_done();
         throw; // run()'s per-slot machinery records the first error
       }
-      if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      state.busy.fetch_sub(1, std::memory_order_relaxed);
+      // The task plus every task it absorbed through take_local.
+      const int64_t done = 1 + sink.taken_;
+      if (state.remaining.fetch_sub(done, std::memory_order_acq_rel) == done) {
         state.announce_done();
         return;
       }

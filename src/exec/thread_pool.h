@@ -47,14 +47,25 @@ class ThreadPool {
   /// caller after the join.
   void run(const std::function<void(int)>& fn, int max_workers = 1 << 30);
 
-  /// Handed to every run_tasks worker: identifies the worker's slot and
-  /// accepts follow-on tasks that became ready while running the current one.
+  /// Handed to every run_tasks worker: identifies the worker's slot, accepts
+  /// follow-on tasks that became ready while running the current one, and
+  /// lets the current task absorb more ready work from its own deque.
   class TaskSink {
    public:
     int slot() const { return slot_; }
     /// Enqueue a now-ready task onto this worker's deque (LIFO for the owner,
     /// stealable FIFO from the far end by idle workers).
     void push(uint64_t task);
+    /// Take the newest task of this worker's own deque into the running
+    /// task, iff `accept(task)` agrees and the deque holds a surplus: more
+    /// tasks than there are idle workers (participants not inside a task),
+    /// so one task per idler stays stealable. The taken task counts as
+    /// executed when the running task returns; the caller must run it
+    /// (push its follow-ons) before then. `accept` runs under the deque's
+    /// lock -- the check and the pop are one step -- so it must be cheap and
+    /// must not call back into the sink.
+    bool take_local(uint64_t& task,
+                    const std::function<bool(uint64_t)>& accept);
 
    private:
     friend class ThreadPool;
@@ -62,6 +73,7 @@ class ThreadPool {
     TaskSink(State& state, int slot) : state_(state), slot_(slot) {}
     State& state_;
     int slot_;
+    int64_t taken_ = 0; ///< tasks absorbed by the running task
   };
 
   using TaskFn = std::function<void(TaskSink&, uint64_t)>;
@@ -80,7 +92,9 @@ class ThreadPool {
   /// deques, then run fn(sink, task) for every task until exactly
   /// `total_tasks` have executed (seeds plus everything pushed through the
   /// sink -- the caller's readiness refcounts must guarantee that count is
-  /// reached). Workers pop their own deque newest-first; when dry they steal
+  /// reached; a task absorbed through TaskSink::take_local counts as
+  /// executed with the call that took it). Workers pop their own deque
+  /// newest-first; when dry they steal
   /// oldest-first, preferring victims inside their own kStealComplex-slot
   /// group (adjacent slots map to adjacent OS threads, so a same-group steal
   /// keeps operand traffic inside one core complex's shared cache) before

@@ -31,15 +31,15 @@ template LweSample bootstrap<SimdFftEngine>(const SimdFftEngine&,
 
 template void blind_rotate_batch<DoubleFftEngine>(
     const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
-    const LweSample* const*, int, const TorusPolynomial&,
+    const LweSample* const*, int, const TorusPolynomial* const*,
     BootstrapWorkspace<DoubleFftEngine>&, BlindRotateMode);
 template void blind_rotate_batch<LiftFftEngine>(
     const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&,
-    const LweSample* const*, int, const TorusPolynomial&,
+    const LweSample* const*, int, const TorusPolynomial* const*,
     BootstrapWorkspace<LiftFftEngine>&, BlindRotateMode);
 template void blind_rotate_batch<SimdFftEngine>(
     const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&,
-    const LweSample* const*, int, const TorusPolynomial&,
+    const LweSample* const*, int, const TorusPolynomial* const*,
     BootstrapWorkspace<SimdFftEngine>&, BlindRotateMode);
 
 template void bootstrap_wo_keyswitch_batch<DoubleFftEngine>(

@@ -41,12 +41,13 @@ struct BootstrapWorkspace {
   GateTestvSpectra testv_spec;
 
   // Batched-blind-rotation arena (grow-only, so steady-state batches are
-  // allocation-free): per-sample accumulators and rotation states, the
-  // per-sample spectral blocks of the SIMD engine's fused group step, plus
-  // the extract staging and keyswitch pointer tables bootstrap_batch
-  // flushes through.
+  // allocation-free): per-sample accumulators, rotation states and test
+  // vectors, the per-sample spectral blocks of the SIMD engine's fused group
+  // step, plus the extract staging and keyswitch pointer tables
+  // bootstrap_batch flushes through.
   std::vector<TLweSample> batch_acc;
   std::vector<BlindRotateState> batch_st;
+  std::vector<const TorusPolynomial*> batch_testv;
   BundleFlushArena batch_flush;
   std::vector<LweSample> batch_u;
   std::vector<const LweSample*> batch_ks_in;
@@ -112,20 +113,21 @@ void classic_rotate_step(const Engine& eng,
   st.pristine = false;
 }
 
-/// The fused-path test-vector cache, iff the rotation starts from the
-/// workspace's own constant gate test vector (and the cached constants
-/// agree with its last fill).
+/// The fused-path test-vector cache, iff the workspace's own constant gate
+/// test vector is filled and the cached constants agree with that fill.
 template <class Engine>
-GateTestvSpectra* gate_testv_cache(BootstrapWorkspace<Engine>& ws,
-                                   const TorusPolynomial& testv) {
-  const bool usable = &testv == &ws.testv && ws.testv_mu_valid &&
-                      ws.testv_spec.mu_valid &&
+GateTestvSpectra* gate_testv_cache(BootstrapWorkspace<Engine>& ws) {
+  const bool usable = ws.testv_mu_valid && ws.testv_spec.mu_valid &&
                       ws.testv_spec.mu == ws.testv_mu;
   return usable ? &ws.testv_spec : nullptr;
 }
 
-/// Blind rotation, ACC_b <- X^{-b + sum a_i s_i} * (0, testv) for each of
-/// the B samples -- the only blind rotation; a single sample is B = 1.
+/// Blind rotation, ACC_b <- X^{-b + sum a_i s_i} * (0, testvs[b]) for each
+/// of the B samples -- the only blind rotation; a single sample is B = 1.
+/// Each sample brings its own test vector, so gate and LUT bootstraps share
+/// one flush; a sample whose test vector is the workspace's constant
+/// ws.testv (set_gate_testv) takes the cached-spectrum pristine step, any
+/// other runs the plain one.
 /// Group-major: the outer loop walks the n/m key groups, the inner loop
 /// walks samples, so each group's spectral TGSW members stream from DRAM
 /// once per batch and stay cache-hot for all B bundle steps -- the
@@ -135,22 +137,24 @@ GateTestvSpectra* gate_testv_cache(BootstrapWorkspace<Engine>& ws,
 /// (blind_rotate_init, then per group its own spectra, subset sums and
 /// rotations in a fixed order, on scratch that every step fully
 /// overwrites) whatever it is batched with, so its result is bit-identical
-/// to a B = 1 call at every batch size. The fused SIMD group step shares
-/// each key row load across a block of samples but never mixes their
-/// arithmetic (bku/bundle.h).
+/// to a B = 1 call with the same test vector at every batch size. The
+/// fused SIMD group step shares each key row load across a block of
+/// samples but never mixes their arithmetic (bku/bundle.h).
 template <class Engine>
 void blind_rotate_batch(const Engine& eng,
                         const DeviceBootstrapKey<Engine>& key,
                         const LweSample* const* xs, int batch,
-                        const TorusPolynomial& testv,
+                        const TorusPolynomial* const* testvs,
                         BootstrapWorkspace<Engine>& ws,
                         BlindRotateMode mode = BlindRotateMode::kBundle) {
   const int n_ring = eng.ring_n();
   ws.ensure_batch(n_ring, batch);
+  GateTestvSpectra* tc = gate_testv_cache(ws);
   for (int b = 0; b < batch; ++b) {
-    blind_rotate_init(eng, *xs[b], testv, ws.testv_rot,
-                      ws.batch_acc[static_cast<size_t>(b)],
-                      ws.batch_st[static_cast<size_t>(b)]);
+    BlindRotateState& st = ws.batch_st[static_cast<size_t>(b)];
+    blind_rotate_init(eng, *xs[b], *testvs[b], ws.testv_rot,
+                      ws.batch_acc[static_cast<size_t>(b)], st);
+    st.gate_testv = tc != nullptr && testvs[b] == &ws.testv;
   }
 
   if (mode == BlindRotateMode::kClassicCMux) {
@@ -167,12 +171,28 @@ void blind_rotate_batch(const Engine& eng,
     return;
   }
 
-  GateTestvSpectra* tc = gate_testv_cache(ws, testv);
   for (int g = 0; g < key.num_groups(); ++g) {
     bundle_group_step(eng, key, g, xs, batch, ws.batch_acc.data(),
                       ws.batch_st.data(), ws.exponents, ws.bundle, ws.ep,
                       ws.batch_flush, tc);
   }
+}
+
+/// `batch` copies of `testv` in the workspace's test-vector table, for a
+/// flush whose samples all rotate the same vector.
+template <class Engine>
+const TorusPolynomial* const* shared_testvs(BootstrapWorkspace<Engine>& ws,
+                                            const TorusPolynomial& testv,
+                                            int batch) {
+  ws.batch_testv.assign(static_cast<size_t>(batch), &testv);
+  return ws.batch_testv.data();
+}
+
+/// The gate flush's table: every sample rotates the constant ws.testv.
+template <class Engine>
+const TorusPolynomial* const* gate_testvs(BootstrapWorkspace<Engine>& ws,
+                                          int batch) {
+  return shared_testvs(ws, ws.testv, batch);
 }
 
 /// Batched gate bootstrap without the key switch: group-major blind rotation
@@ -186,7 +206,7 @@ void bootstrap_wo_keyswitch_batch(const Engine& eng,
                                   BootstrapWorkspace<Engine>& ws,
                                   BlindRotateMode mode = BlindRotateMode::kBundle) {
   set_gate_testv(ws, mu, key.gadget);
-  blind_rotate_batch(eng, key, xs, batch, ws.testv, ws, mode);
+  blind_rotate_batch(eng, key, xs, batch, gate_testvs(ws, batch), ws, mode);
   for (int b = 0; b < batch; ++b) {
     sample_extract_into(ws.batch_acc[static_cast<size_t>(b)], *outs[b]);
   }
@@ -204,7 +224,7 @@ void bootstrap_batch(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
                      KeySwitchWorkspace& ks_ws,
                      BlindRotateMode mode = BlindRotateMode::kBundle) {
   set_gate_testv(ws, mu, key.gadget);
-  blind_rotate_batch(eng, key, xs, batch, ws.testv, ws, mode);
+  blind_rotate_batch(eng, key, xs, batch, gate_testvs(ws, batch), ws, mode);
   const size_t nb = static_cast<size_t>(batch);
   if (ws.batch_u.size() < nb) ws.batch_u.resize(nb);
   ws.batch_ks_in.resize(nb);

@@ -105,7 +105,8 @@ void functional_bootstrap_multi_wo_keyswitch_batch(
     LweSample* const* outs, const int* coeff_offsets, int n_out, int batch,
     BootstrapWorkspace<Engine>& ws,
     BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate_batch(eng, key, xs, batch, testv, ws, mode);
+  blind_rotate_batch(eng, key, xs, batch, shared_testvs(ws, testv, batch), ws,
+                     mode);
   for (int b = 0; b < batch; ++b) {
     const TLweSample& acc = ws.batch_acc[static_cast<size_t>(b)];
     for (int j = 0; j < n_out; ++j) {

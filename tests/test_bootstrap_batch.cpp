@@ -2,12 +2,15 @@
 // rotation, and a single-sample bootstrap is a B = 1 call of it. A sample's
 // output must not depend on what it is batched with, so every batch size
 // must match B independent B = 1 calls bit for bit, on every engine, in
-// every mode. Also covers the batched functional bootstrap and the
-// BatchExecutor's per-wavefront bootstrap flush across thread counts.
+// every mode. Also covers the batched functional bootstrap, flushes that
+// mix gate and LUT test vectors, and the BatchExecutor's coalesced
+// bootstrap flush across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "circuits/word.h"
@@ -379,6 +382,142 @@ TEST(BootstrapBatch, Security110SimdBatchMatchesSingle) {
       }
     }
   }
+}
+
+/// One flush with a test vector per sample, as BatchExecutor coalesces it:
+/// sample i rotates the constant gate vector (i % 3 == 0) or one of two LUT
+/// vectors. A single blind_rotate_batch over the first B samples must
+/// extract bit for bit what B = 1 calls of the public drivers do on fresh
+/// workspaces: bootstrap_wo_keyswitch_batch for a gate sample (offset 0,
+/// through the cached gate spectra), the two-output functional driver for a
+/// LUT sample (offsets 0 and N/4, through plain FFTs).
+template <class Engine>
+void expect_mixed_flush_matches_single(const Engine& eng,
+                                       const DeviceBootstrapKey<Engine>& bk,
+                                       const GadgetParams& gadget, Torus32 mu,
+                                       const std::vector<LweSample>& xs,
+                                       const TorusPolynomial (&luts)[2],
+                                       std::initializer_list<int> batches,
+                                       const std::string& what) {
+  const int n_ring = eng.ring_n();
+  const int offsets[2] = {0, n_ring / 4};
+  const auto is_gate = [](int i) { return i % 3 == 0; };
+  const auto lut_of = [&](int i) -> const TorusPolynomial& {
+    return luts[i % 3 - 1];
+  };
+  // B = 1 references; output j of sample i at [2 * i + j].
+  const int count = static_cast<int>(xs.size());
+  std::vector<LweSample> one(static_cast<size_t>(2 * count));
+  eng.counters().reset();
+  for (int i = 0; i < count; ++i) {
+    BootstrapWorkspace<Engine> ws(eng, gadget);
+    const LweSample* in = &xs[static_cast<size_t>(i)];
+    LweSample* out[2] = {&one[static_cast<size_t>(2 * i)],
+                         &one[static_cast<size_t>(2 * i + 1)]};
+    if (is_gate(i)) {
+      bootstrap_wo_keyswitch_batch(eng, bk, mu, &in, out, 1, ws);
+    } else {
+      functional_bootstrap_multi_wo_keyswitch_batch(eng, bk, lut_of(i), &in,
+                                                    out, offsets, 2, 1, ws);
+    }
+  }
+
+  // The pristine-step elisions are per sample too: a full-size flush skips
+  // and reuses exactly as many forward FFTs as its B = 1 calls did.
+  const EngineCounters want = eng.counters();
+  if constexpr (std::is_same_v<Engine, SimdFftEngine>) {
+    EXPECT_GT(want.testv_fft_reuses, 0) << what << ": gate samples synthesize";
+  }
+
+  // One workspace reused across flushes, as a worker's is.
+  BootstrapWorkspace<Engine> ws(eng, gadget);
+  set_gate_testv(ws, mu, gadget);
+  for (const int batch : batches) {
+    eng.counters().reset();
+    std::vector<const LweSample*> in;
+    std::vector<const TorusPolynomial*> tv;
+    for (int i = 0; i < batch; ++i) {
+      in.push_back(&xs[static_cast<size_t>(i)]);
+      tv.push_back(is_gate(i) ? &ws.testv : &lut_of(i));
+    }
+    blind_rotate_batch(eng, bk, in.data(), batch, tv.data(), ws);
+    if (batch == count) {
+      EXPECT_EQ(eng.counters().testv_fft_reuses, want.testv_fft_reuses) << what;
+      EXPECT_EQ(eng.counters().zero_fft_skips, want.zero_fft_skips) << what;
+      EXPECT_EQ(eng.counters().to_spectral_calls, want.to_spectral_calls)
+          << what;
+    }
+    for (int i = 0; i < batch; ++i) {
+      for (int j = 0; j < (is_gate(i) ? 1 : 2); ++j) {
+        LweSample got;
+        sample_extract_at(ws.batch_acc[static_cast<size_t>(i)], offsets[j],
+                          got);
+        EXPECT_TRUE(same_sample(got, one[static_cast<size_t>(2 * i + j)]))
+            << what << " batch=" << batch << " sample " << i << " ("
+            << (is_gate(i) ? "gate" : "lut") << ") output " << j;
+      }
+    }
+  }
+}
+
+/// Two distinct 4-slot LUT test vectors.
+void make_two_luts(int n_ring, TorusPolynomial (&luts)[2]) {
+  const int slots = 4;
+  for (int t = 0; t < 2; ++t) {
+    std::vector<Torus32> vals(slots);
+    for (int i = 0; i < slots; ++i) {
+      vals[static_cast<size_t>(i)] =
+          encode_message((i * (2 * t + 1) + t + 1) % slots, slots);
+    }
+    luts[t] = make_lut_testvector(n_ring, vals);
+  }
+}
+
+TEST(BootstrapBatch, Security110MixedTestVectorFlushMatchesSingle) {
+  const TfheParams p = TfheParams::security110();
+  Rng rng = test::test_rng(91);
+  const SecretKeyset sk = SecretKeyset::generate(p, rng);
+  SimdFftEngine eng(p.ring.n_ring);
+  constexpr int kMax = 16;
+  TorusPolynomial luts[2];
+  make_two_luts(p.ring.n_ring, luts);
+  // Sample 1 (a LUT sample) has a = 0 and never rotates; samples 2 and 3
+  // (a LUT and a gate sample) take their first, pristine step halfway
+  // through the key, in a flush of already-rotated samples.
+  std::vector<LweSample> xs = security110_inputs(
+      sk, kMax,
+      [](int i) {
+        return i % 3 == 0 ? double_to_torus32((i % 2 == 0 ? 1 : -1) * 0.125)
+                          : encode_message(i % 4, 4);
+      },
+      rng);
+  const Torus32 ph3 = lwe_phase(sk.lwe, xs[3]);
+  std::fill(xs[3].a.begin(), xs[3].a.begin() + p.lwe.n / 2, 0u);
+  set_phase(sk.lwe, xs[3], ph3);
+  for (const int m : {1, 3}) {
+    const auto bk = load_bootstrap_key(
+        eng, make_unrolled_bootstrap_key(sk.lwe, sk.tlwe, p.gadget, m, rng));
+    expect_mixed_flush_matches_single(eng, bk, p.gadget, p.mu(), xs, luts,
+                                      {1, 5, kMax},
+                                      "security110 m=" + std::to_string(m));
+  }
+}
+
+TEST(BootstrapBatch, MixedTestVectorFlushMatchesSingleOnReferenceEngines) {
+  const auto& K = shared_keys();
+  TorusPolynomial luts[2];
+  make_two_luts(K.params.ring.n_ring, luts);
+  std::vector<LweSample> xs = make_inputs(7, 95);
+  std::fill(xs[1].a.begin(), xs[1].a.end(), 0u); // never rotates
+  const auto check = [&](const auto& eng, const CloudKeyset& ck,
+                         const std::string& what) {
+    const auto bk = load_bootstrap_key(eng, ck.bk);
+    expect_mixed_flush_matches_single(eng, bk, K.params.gadget, K.params.mu(),
+                                      xs, luts, {7}, what);
+  };
+  check(K.deng, K.ck1, "double m=1");
+  check(K.deng, K.ck3, "double m=3");
+  check(K.leng, K.ck2, "lift m=2");
 }
 
 /// The executor's deferred bootstrap flush: a MUX-heavy circuit (both branch

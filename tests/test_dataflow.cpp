@@ -137,6 +137,66 @@ TEST(ThreadPool, WatchdogDeadlineStopsARunawayRunInsteadOfHanging) {
   EXPECT_EQ(alive.load(), 4);
 }
 
+TEST(ThreadPool, TakeLocalRunsEveryTaskExactlyOnceAndDrains) {
+  // The binary-tree run again, but every task also absorbs up to a random
+  // number of its deque's newest tasks (the coalescing path) and sometimes
+  // refuses one. Absorbed tasks count as executed with the task that took
+  // them, so the run must still drain with each node run exactly once, at
+  // every crew size.
+  constexpr uint64_t kLeafBase = 1u << 10;
+  const int64_t total = 2 * kLeafBase - 1;
+  Rng rng = test::test_rng(0x7A4E);
+  for (int threads = 1; threads <= 8; ++threads) {
+    ThreadPool pool(threads);
+    const int max_take = static_cast<int>(rng.uniform_below(8));
+    std::vector<std::atomic<int>> runs(static_cast<size_t>(total + 1));
+    const std::vector<uint64_t> seeds{1};
+    const auto stats = pool.run_tasks(
+        seeds, total, [&](ThreadPool::TaskSink& sink, uint64_t t) {
+          std::vector<uint64_t> flush{t};
+          const int limit = static_cast<int>((t * 2654435761u) % (max_take + 1));
+          uint64_t more = 0;
+          while (static_cast<int>(flush.size()) <= limit &&
+                 sink.take_local(more, [](uint64_t c) { return c % 7 != 0; })) {
+            flush.push_back(more);
+          }
+          for (const uint64_t u : flush) {
+            runs[static_cast<size_t>(u)].fetch_add(1);
+            if (u < kLeafBase) {
+              sink.push(2 * u);
+              sink.push(2 * u + 1);
+            }
+          }
+        });
+    EXPECT_FALSE(stats.timed_out);
+    for (int64_t u = 1; u <= total; ++u) {
+      ASSERT_EQ(runs[static_cast<size_t>(u)].load(), 1)
+          << threads << " threads, take limit " << max_take << ", task " << u;
+    }
+  }
+
+  // The watchdog still trips when every task coalesces: self-re-enqueueing
+  // work never drains on its own.
+  ThreadPool pool(4);
+  const std::vector<uint64_t> seeds{0, 1, 2, 3};
+  std::atomic<int> executed{0};
+  const auto stats = pool.run_tasks(
+      seeds, 1000,
+      [&](ThreadPool::TaskSink& sink, uint64_t t) {
+        uint64_t more = 0;
+        int n = 1;
+        while (sink.take_local(more, [](uint64_t) { return true; })) ++n;
+        executed += n;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (int i = 0; i < n; ++i) sink.push(t + 1000);
+      },
+      /*max_workers=*/1 << 30,
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(30));
+  EXPECT_TRUE(stats.timed_out);
+  EXPECT_GT(executed.load(), 0);
+  EXPECT_LT(executed.load(), 1000);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized software DAGs: parallel == sequential == plaintext.
 // ---------------------------------------------------------------------------

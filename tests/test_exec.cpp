@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "circuits/word.h"
 #include "common/fault_injection.h"
 #include "exec/batch_executor.h"
 #include "exec/circuit_builder.h"
+#include "fft/simd_fft.h"
+#include "tfhe/functional.h"
 #include "test_util.h"
 
 namespace matcha {
@@ -285,6 +288,73 @@ TEST(BatchExecutor, RunBatchMatchesIndividualRuns) {
   }
 }
 
+TEST(BatchExecutor, CoalescedFlushesStayCappedAndBitIdentical) {
+  // A level of 32 independent LUTs at B = 2 on one thread: each (group x
+  // gate) task carries 2 rotations, so the worker coalesces up to 8 ready
+  // tasks per flush (the 16-rotation cap). The next level (AND of LUT
+  // pairs) joins flushes with the remaining LUTs: gate and LUT test
+  // vectors in one rotation. Every output must equal immediate mode --
+  // functional_bootstrap for a LUT, GateEvaluator for a gate.
+  const auto& K = shared_keys();
+  const int n_ring = K.params.ring.n_ring;
+  const SimdFftEngine eng(n_ring);
+  const auto dk = load_device_keyset(eng, K.ck2);
+  constexpr int kWide = 32;
+  constexpr int kItems = 2;
+  CircuitBuilder b;
+  std::vector<Wire> in, lut, gate;
+  for (int i = 0; i <= kWide; ++i) in.push_back(b.input());
+  for (int i = 0; i < kWide; ++i) {
+    lut.push_back(b.gate_lut({in[i], in[i + 1]}, 0b0110)); // XOR2
+    b.mark_output(lut.back());
+  }
+  for (int i = 0; i < kWide; i += 2) {
+    gate.push_back(b.gate_and(lut[i], lut[i + 1]));
+    b.mark_output(gate.back());
+  }
+  const exec::GateGraph& g = b.graph();
+
+  std::vector<std::vector<LweSample>> batch(kItems);
+  Rng rng = test::test_rng(1601);
+  for (auto& item : batch) {
+    for (int i = 0; i <= kWide; ++i) {
+      item.push_back(K.sk.encrypt_bit(static_cast<int>(rng.uniform_below(2)), rng));
+    }
+  }
+  BatchExecutor<SimdFftEngine> ex(
+      [n_ring] { return std::make_unique<SimdFftEngine>(n_ring); }, dk.bk,
+      *dk.ks, K.params.mu(), 1);
+  const std::vector<BatchResult> r = ex.run_batch(g, batch);
+  const auto& st = ex.last_stats();
+  const int64_t tasks = g.num_gates(); // one group of both items
+  EXPECT_EQ(st.bootstraps, kItems * (kWide + kWide / 2));
+  EXPECT_LT(st.rotation_flushes, tasks);
+  EXPECT_GE(st.rotation_flushes * 16, st.bootstraps);
+  EXPECT_LE(st.max_flush_rotations, 16);
+  EXPECT_GT(st.max_flush_rotations, kItems); // more than one task coalesced
+
+  auto ev = dk.make_evaluator(eng, K.params.mu());
+  BootstrapWorkspace<SimdFftEngine> ws(eng, K.params.gadget);
+  for (int it = 0; it < kItems; ++it) {
+    const auto& item = batch[static_cast<size_t>(it)];
+    std::vector<LweSample> want_lut;
+    for (int i = 0; i < kWide; ++i) {
+      const LutSpec& spec = g.nodes()[static_cast<size_t>(lut[i].id)].lut;
+      const std::array<const LweSample*, 2> ins{&item[i], &item[i + 1]};
+      want_lut.push_back(functional_bootstrap(
+          eng, dk.bk, *dk.ks, make_lut_testvector(n_ring, lut_slot_values(spec)),
+          lut_cone_input(spec, ins, dk.bk.n_lwe), ws));
+      ASSERT_TRUE(same_sample(r[it].at(lut[i]), want_lut.back()))
+          << "item " << it << " lut " << i;
+    }
+    for (int i = 0; i < kWide / 2; ++i) {
+      ASSERT_TRUE(same_sample(r[it].at(gate[i]),
+                              ev.gate_and(want_lut[2 * i], want_lut[2 * i + 1])))
+          << "item " << it << " gate " << i;
+    }
+  }
+}
+
 TEST(EngineCounters, PerThreadCountersMergeLosslessly) {
   // Regression for the counter race: EngineCounters used to be one shared
   // mutable struct; concurrent gates would drop increments. Per-thread
@@ -442,6 +512,63 @@ TEST(FaultIsolation, DataPathFaultSitesAreRepairedInPlace) {
       for (size_t w = 0; w < clean[i].values.size(); ++w) {
         ASSERT_TRUE(same_sample(faulted[i].values[w], clean[i].values[w]))
             << site << " item " << i << " wire " << w;
+      }
+    }
+  }
+}
+
+TEST(FaultIsolation, FaultInAFlushSpanningTwoGroupsStaysInThatFlush) {
+  // 17 items on one thread form groups {0..7}, {8..15}, {16}. The seeds
+  // (the AND of each group) sit on the worker's deque in group order; it
+  // pops group 2's task (1 rotation), coalesces group 1's (8 more) and
+  // stops before group 0's (17 > 16). A fault armed at the first check
+  // therefore hits a flush mixing two groups: it may mark items 8..16 and
+  // never items 0..7, and retry repairs it bit-identically.
+  SKIP_IF_FAULTS_COMPILED_OUT();
+  const auto& K = shared_keys();
+  const auto dk = load_device_keyset(K.deng, K.ck2);
+  CircuitBuilder b;
+  const Wire x = b.input(), y = b.input();
+  b.mark_output(b.gate_xor(b.gate_and(x, y), x));
+  constexpr int kItems = 17;
+  const auto make_batch = [&] {
+    Rng rng = test::test_rng(1700);
+    std::vector<std::vector<LweSample>> batch(kItems);
+    for (int i = 0; i < kItems; ++i) {
+      batch[i] = {K.sk.encrypt_bit(i & 1, rng), K.sk.encrypt_bit(i >> 1 & 1, rng)};
+    }
+    return batch;
+  };
+  BatchExecutor<DoubleFftEngine> ex(make_engine, dk.bk, *dk.ks, K.params.mu(), 1);
+
+  FaultGuard guard;
+  const std::vector<BatchResult> clean = ex.run_batch(b.graph(), make_batch());
+  for (const char* site : {fault::kSiteTaskException, fault::kSiteBskRowCorrupt,
+                           fault::kSiteKeyswitchBitflip}) {
+    for (const int retries : {0, 4}) {
+      fault::Registry::instance().reset();
+      fault::Registry::instance().arm(site);
+      ex.set_max_retries(retries);
+      const std::vector<BatchResult> r = ex.run_batch(b.graph(), make_batch());
+      EXPECT_GE(ex.last_stats().faulted_items, 1) << site;
+      int bad = 0;
+      for (int i = 0; i < kItems; ++i) {
+        if (!r[i].status.ok()) {
+          ++bad;
+          EXPECT_GE(i, 8) << site << ": item outside the faulted flush";
+          continue;
+        }
+        for (size_t w = 0; w < clean[i].values.size(); ++w) {
+          ASSERT_TRUE(same_sample(r[i].values[w], clean[i].values[w]))
+              << site << " retries " << retries << " item " << i << " wire " << w;
+        }
+      }
+      EXPECT_EQ(bad, retries > 0 ? 0 : ex.last_stats().faulted_items) << site;
+      if (retries > 0) {
+        EXPECT_EQ(ex.last_stats().retried_items, ex.last_stats().faulted_items)
+            << site;
+      } else if (std::string_view(site) != fault::kSiteKeyswitchBitflip) {
+        EXPECT_EQ(bad, 9) << site << ": the whole flush (items 8..16) fails";
       }
     }
   }
