@@ -460,12 +460,12 @@ class BatchExecutor {
     /// The tasks of the flush being evaluated.
     std::vector<FlushTask> flush;
     // Flush scratch, grow-only and reused across flushes: the samples'
-    // linear-combination inputs and test vectors, the pre-keyswitch N-LWE
+    // linear-combination inputs (their test vectors go in
+    // ws.batch_testv), the pre-keyswitch N-LWE
     // staging of every extracted output, MUX's second-branch extraction,
     // and the digit workspace of the batched keyswitch.
     std::vector<LweSample> combo;
     std::vector<const LweSample*> bs_in;
-    std::vector<const TorusPolynomial*> bs_testv;
     std::vector<LweSample> stage;
     LweSample mux_u2;
     std::vector<const LweSample*> ks_in;
@@ -661,7 +661,7 @@ class BatchExecutor {
     if (w.combo.size() < nr) w.combo.resize(nr);
     if (w.stage.size() < nout) w.stage.resize(nout);
     w.bs_in.resize(nr);
-    w.bs_testv.resize(nr);
+    w.ws.batch_testv.resize(nr);
     set_gate_testv(w.ws, mu_, bk_.gadget);
     for (const FlushTask& t : w.flush) {
       const GateNode& n = node(t);
@@ -675,14 +675,14 @@ class BatchExecutor {
             results[static_cast<size_t>(w.live[static_cast<size_t>(t.live0 + k)])]
                 .values;
         const size_t s = static_cast<size_t>(t.rot0 + k);
-        w.bs_testv[s] = tv;
+        w.ws.batch_testv[s] = tv;
         if (n.kind == GateKind::kMux) {
           // Both branch bootstraps ride the flush: u1 at rot0 + k, u2 at
           // rot0 + count + k (tfhe/gate_ops.h).
           const size_t s2 = s + static_cast<size_t>(count);
           mux_branch_inputs(v[n.in[0]], v[n.in[1]], v[n.in[2]], mu_,
                             w.combo[s], w.combo[s2]);
-          w.bs_testv[s2] = tv;
+          w.ws.batch_testv[s2] = tv;
         } else if (n.kind == GateKind::kLut) {
           // One weighted linear combination + one functional bootstrap per
           // item, however many Boolean gates the cone replaced.
@@ -714,7 +714,7 @@ class BatchExecutor {
                            "check (injected corruption)"));
     }
     blind_rotate_batch(*w.engine, bk_, w.bs_in.data(), nrot,
-                       w.bs_testv.data(), w.ws, mode_);
+                       w.ws.batch_testv.data(), w.ws, mode_);
     ++w.flushes;
     w.max_flush_rotations = std::max(w.max_flush_rotations, nrot);
 
