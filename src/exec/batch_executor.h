@@ -20,10 +20,10 @@
 // stream from memory once per flush instead of once per group. The task
 // and its group are the floor: a flush is never smaller than the group, so
 // a one-task-per-group level (a carry chain) keeps its parallelism, while a
-// wide level (43 minterm LUTs per item) packs up to 16 samples per key
-// pass. Correctness never depends on the flush: a sample's arithmetic is
-// independent of what it is flushed with, and keyswitch is exact
-// mod 2^32.
+// wide level (43 minterm LUTs per item) packs up to 8 samples per key
+// pass, where the measured per-sample cost stops falling. Correctness
+// never depends on the flush: a sample's arithmetic is independent of what
+// it is flushed with, and keyswitch is exact mod 2^32.
 //
 // Determinism: every worker slot owns a private Engine instance (engines
 // carry mutable scratch buffers and counters -- sharing one across threads
@@ -46,10 +46,11 @@
 // a fault in one item's cone -- an injected bit flip, an allocation failure,
 // a worker-task exception -- must never take down the batch. The executor
 // tracks per-(item, node) validity alongside the refcount schedule: a failed
-// flush marks the items of every task it carried failed (their outputs stay
-// invalid) and STILL decrements those tasks' consumers (so the task space
-// drains normally), and downstream tasks simply skip
-// items whose operands are invalid. After the pool run, a bounded retry
+// flush marks failed every item whose output it did not produce (a NOT or
+// free-OR it already completed stays valid) and STILL decrements its tasks'
+// consumers (so the task space drains normally), an injected task
+// exception drops just its own task from the flush, and downstream tasks
+// simply skip items whose operands are invalid. After the pool run, a bounded retry
 // recomputes only the invalid nodes of each faulted item on the caller's
 // slot; items that stay faulted report a structured per-item Status in their
 // BatchResult while every other item completes bit-identically to a
@@ -314,20 +315,29 @@ class BatchExecutor {
           w.flush.push_back(task_of(more));
         }
         // A fault anywhere in the flush must NOT escape to the pool: the
-        // flush's items are marked failed (their outputs stay invalid) and
-        // the consumer decrements below still run, so the rest of the batch
+        // items whose outputs it did not produce are marked failed and the
+        // consumer decrements below still run, so the rest of the batch
         // drains as if nothing happened -- that is the isolation contract.
-        try {
-          if (fault::should_fire(fault::kSiteTaskException)) {
-            throw fault::FaultInjected(
-                fault::kSiteTaskException,
-                unavailable_status("injected worker-task exception"));
+        // The task-exception site models one task's own code throwing, so
+        // it is checked per task and drops only that task.
+        for (FlushTask& ft : w.flush) {
+          ft.dropped = fault::should_fire(fault::kSiteTaskException);
+          if (!ft.dropped) continue;
+          for (int b = ft.b0; b < ft.b1; ++b) {
+            fail_item(b, unavailable_status("injected worker-task exception"));
           }
+        }
+        try {
           eval_flush(w, g, results, fail_item);
         } catch (...) {
           const Status st = status_from_exception();
           for (const FlushTask& ft : w.flush) {
-            for (int b = ft.b0; b < ft.b1; ++b) fail_item(b, st);
+            for (int b = ft.b0; b < ft.b1; ++b) {
+              if (!results[static_cast<size_t>(b)]
+                       .value_ok[static_cast<size_t>(ft.gate)]) {
+                fail_item(b, st);
+              }
+            }
           }
         }
         w.busy_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -449,6 +459,7 @@ class BatchExecutor {
     int b0 = 0, b1 = 0; ///< the group's batch items [b0, b1)
     int live0 = 0, live1 = 0; ///< its live items: Worker::live[live0, live1)
     int rot0 = 0;             ///< its first sample in the rotation flush
+    bool dropped = false;     ///< an injected task exception removed it
   };
 
   struct Worker {
@@ -480,24 +491,27 @@ class BatchExecutor {
   };
 
   /// The (item group x gate) task and its group size are the floor of a
-  /// flush: a gate's group is never split. Larger groups amortize both keys
-  /// further but starve the scheduler when a level is one task per group
-  /// (a carry chain), so the group stays items / num_threads up to
-  /// kKsGroupTarget and coalescing adds ready tasks on top instead.
+  /// flush: a gate's group is never split, even when one task alone holds
+  /// more than kMaxFlushRotations samples (a MUX over a group of 8 is 16).
+  /// Larger groups amortize both keys further but starve the scheduler when
+  /// a level is one task per group (a carry chain), so the group stays
+  /// items / num_threads up to kKsGroupTarget and coalescing adds ready
+  /// tasks on top instead.
   static constexpr int kKsGroupTarget = 8;
   int ks_group_for(int items) const {
     return std::max(1, std::min(kKsGroupTarget, items / pool_.num_threads()));
   }
 
-  /// Most blind-rotation samples one coalesced flush may carry (a MUX task
-  /// counts 2 per item). Measured per sample, blind rotation + keyswitch at
-  /// security110, 4 threads sharing one key: m = 1 13.5-14.7 ms at B = 2,
-  /// 11.1-12.4 at B = 8, 11.7-12.4 at B = 16, 14.9-15.6 at B = 32; m = 3
-  /// 11.6 ms at B = 4, 9.7 at B = 16, 14.1 at B = 32. Past 16 the ~72 KiB
-  /// per-sample flush arena outgrows a 2 MiB L2.
-  static constexpr int kMaxFlushRotations = 16;
-  static_assert(2 * kKsGroupTarget <= kMaxFlushRotations,
-                "a single MUX task must fit one flush");
+  /// Most blind-rotation samples a coalesced flush may gather (a MUX task
+  /// counts 2 per item). Chosen from the per-sample time of whole flushes
+  /// (staging, blind rotation, extraction, keyswitch) measured inside this
+  /// executor with the cap at 16, security110, 4 threads of a 4-core
+  /// AVX-512 host: m = 1 (batch_muxtree_m1) 11.9-12.2 ms at B = 2,
+  /// 10.5-11.7 at B = 4, 10.5-10.8 at B = 8, 11.0-11.3 at B = 16; m = 3
+  /// (batch_max16_m3) 9.0-9.6 ms at B = 4, 7.6-8.0 at B = 8, 7.7-8.3 at
+  /// B = 16. The cost stops falling at 8 for both unroll factors, and the
+  /// larger flushes only lengthen the critical path.
+  static constexpr int kMaxFlushRotations = 8;
 
   /// True iff every gate node of `r` holds a valid value.
   static bool item_complete(const GateGraph& g, const BatchResult& r) {
@@ -614,7 +628,7 @@ class BatchExecutor {
       // A kLutOut's parent task already extracted and key-switched this
       // output into its result slot (the parent runs first: this node's
       // readiness refcount counts it as an operand). Nothing to compute.
-      if (n.kind != GateKind::kLutOut) {
+      if (n.kind != GateKind::kLutOut && !t.dropped) {
         for (int b = t.b0; b < t.b1; ++b) {
           const auto& ok = results[static_cast<size_t>(b)].value_ok;
           bool operands_ok = true;
@@ -633,7 +647,8 @@ class BatchExecutor {
                 (n.kind == GateKind::kLut ? live_lut_outputs(t.gate) : 1);
         continue;
       }
-      // NOT and free-OR complete here (a kLutOut has no live items).
+      // NOT and free-OR complete here (a kLutOut or a dropped task has no
+      // live items).
       for (int k = t.live0; k < t.live1; ++k) {
         auto& res = results[static_cast<size_t>(w.live[static_cast<size_t>(k)])];
         LweSample r = res.values[n.in[0]];
